@@ -15,6 +15,7 @@ const struct {
     {Target::kSoa, "soa"},         {Target::kReplay, "replay"},
     {Target::kTaint, "taint"},     {Target::kThreads, "threads"},
     {Target::kDigest, "digest"},   {Target::kTrajectory, "trajectory"},
+    {Target::kInclusion, "inclusion"},
 };
 
 void AppendHex(std::string& out, std::uint64_t v) {

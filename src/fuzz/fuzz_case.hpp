@@ -23,6 +23,7 @@ enum class Target {
   kThreads,     // SweepEngine 1-vs-N thread bit-identity
   kDigest,      // scoped state-digest stability and cache coherence
   kTrajectory,  // forgiving JSON parser robustness
+  kInclusion,   // every private-cache line is in the LLC (or stranded)
 };
 
 struct FuzzCase {

@@ -348,7 +348,7 @@ struct ProgramData {
 };
 
 // Batches are derived from the case seed and reused every round, so the
-// span-batch memo's pointer-identity rendezvous can engage from round 2 on.
+// span-batch memo (keyed on the span's pointer) can replay from round 2 on.
 ProgramData MakeProgram(std::uint64_t seed) {
   Rng rng(runner::SplitMix64(seed));
   ProgramData p;
@@ -671,6 +671,110 @@ OracleResult RunDigest(const FuzzCase& c) {
       if (machine.ScopedDigestUncached(kBits[jb], 0) != uncached) {
         return OracleResult::Violation(
             at(std::string(kBitNames[jb]) + " uncached digest nondeterministic"));
+      }
+    }
+  }
+  return OracleResult{};
+}
+
+// ---------------------------------------------------------------------------
+// inclusion: every private-cache line is in the LLC (or stranded)
+// ---------------------------------------------------------------------------
+
+}  // namespace
+
+std::string InclusionChecker::Check(bool flushed_llc) {
+  hw::SetAssociativeCache& llc = machine_.llc();
+  std::string violation;
+  for (std::size_t k = 0; k < machine_.num_cores() && violation.empty(); ++k) {
+    hw::Core& core = machine_.core(k);
+    hw::SetAssociativeCache* const caches[] = {&core.l1i(), &core.l1d(), core.l2()};
+    bool empty = true;
+    for (const hw::SetAssociativeCache* cache : caches) {
+      empty = empty && (cache == nullptr || cache->ValidLineCount() == 0);
+    }
+    const std::uint64_t bit = std::uint64_t{1} << k;
+    if (empty) {
+      stranded_ &= ~bit;
+    } else if (flushed_llc) {
+      stranded_ |= bit;
+    }
+    if ((stranded_ & bit) != 0) {
+      continue;
+    }
+    for (const hw::SetAssociativeCache* cache : caches) {
+      if (cache == nullptr || !violation.empty()) {
+        continue;
+      }
+      cache->ForEachValidLine([&](hw::PAddr line) {
+        if (violation.empty() && !llc.Contains(line, line)) {
+          char buf[96];
+          std::snprintf(buf, sizeof buf, "core %zu %s line 0x%llx is not in the LLC", k,
+                        cache->name().c_str(), static_cast<unsigned long long>(line));
+          violation = buf;
+        }
+      });
+    }
+  }
+  return violation;
+}
+
+namespace {
+
+// The replay/digest program with its vaddr batches swapped for eviction
+// pressure: one small hot batch that stays resident in private caches while
+// its LLC copies age, and sequential runs over a window far larger than the
+// LLC (they also train the stream prefetcher, whose fills evict as well).
+ProgramData MakeInclusionProgram(std::uint64_t seed) {
+  ProgramData p = MakeProgram(seed);
+  Rng rng(runner::SplitMix64(seed ^ 0x1C1));
+  for (std::size_t b = 0; b < p.va_batches.size(); ++b) {
+    std::vector<hw::VAddr>& batch = p.va_batches[b];
+    batch.clear();
+    const hw::VAddr base = 0x10000 + (rng.Below(4 * 1024 * 1024) & ~hw::VAddr{63});
+    const std::size_t stride = b == 0 ? 512 : 64;
+    const std::size_t n = b == 0 ? 16 : 16 + rng.Below(49);
+    for (std::size_t i = 0; i < n; ++i) {
+      batch.push_back(base + i * stride);
+    }
+  }
+  return p;
+}
+
+// Runs that program on a random core per step of a 2-4 core machine whose
+// LLC is shrunk to 1/8 of the decoded size, so evictions (and with them
+// back-invalidations of other cores' private copies) are constant. Every
+// core maps the same pages (FlatContext is ASID-independent), so lines are
+// shared across cores. Full-flush steps flip a coin for the LLC-less
+// variant (the flush.llc fault path).
+OracleResult RunInclusion(const FuzzCase& c) {
+  ScopedTaint taint_off(false);
+  std::size_t rounds = 1;
+  hw::MachineConfig mc = DecodeMachine(c, &rounds);
+  mc.num_cores = static_cast<std::size_t>(2 + Pick(c, 11, 3));
+  mc.llc.size_bytes /= 8;
+  const ProgramData prog = MakeInclusionProgram(c.seed);
+
+  hw::Machine machine(mc);
+  std::vector<std::unique_ptr<FlatContext>> contexts;
+  for (std::size_t k = 0; k < machine.num_cores(); ++k) {
+    contexts.push_back(std::make_unique<FlatContext>(static_cast<hw::Asid>(k + 1)));
+    InstallFlat(machine.core(k), *contexts.back());
+  }
+  InclusionChecker checker(machine);
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (std::size_t i = 0; i < c.ops.size(); ++i) {
+      const std::uint64_t op = c.ops[i];
+      hw::Core& core = machine.core((op >> 40) % machine.num_cores());
+      if (IsFlushStep(op) && (op >> 4) % 7 == 5 && ((op >> 39) & 1) != 0) {
+        core.FullCacheFlush(/*include_llc=*/false);
+      } else {
+        ExecStep(core, prog, op, false);
+      }
+      const bool flushed_llc = IsFlushStep(op) && (op >> 4) % 7 == 5 && ((op >> 39) & 1) == 0;
+      if (std::string why = checker.Check(flushed_llc); !why.empty()) {
+        return OracleResult::Violation("inclusion step " + U(i) + " round " + U(r) + " (core " +
+                                       U(core.id()) + "): " + why);
       }
     }
   }
@@ -1511,6 +1615,8 @@ OracleResult RunCase(const FuzzCase& c) {
         return RunDigest(c);
       case Target::kTrajectory:
         return RunTrajectory(c);
+      case Target::kInclusion:
+        return RunInclusion(c);
     }
   } catch (const std::exception& e) {
     return OracleResult::Violation(std::string("unhandled exception: ") + e.what());
@@ -1541,6 +1647,10 @@ FuzzCase GenerateCase(Target target, std::uint64_t case_seed) {
       break;
     case Target::kTrajectory:
       GenerateTrajectory(rng, c);
+      break;
+    case Target::kInclusion:
+      GenerateMachineCase(rng, c, 20, 61);
+      c.params.push_back(rng.Next());  // core count
       break;
   }
   return c;

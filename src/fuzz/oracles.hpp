@@ -24,6 +24,10 @@
 //                 "offset N:" errors, accepts everything an independent
 //                 strict validator accepts, and successfully parsed
 //                 documents survive a serialize/reparse round trip.
+//   inclusion   — random accesses on random cores of a 2-4 core machine,
+//                 interleaved with every private and whole-cache flush
+//                 (with and without the LLC): after every step the
+//                 InclusionChecker property below holds.
 #ifndef TP_FUZZ_ORACLES_HPP_
 #define TP_FUZZ_ORACLES_HPP_
 
@@ -31,6 +35,7 @@
 #include <string>
 
 #include "fuzz/fuzz_case.hpp"
+#include "hw/machine.hpp"
 
 namespace tp::fuzz {
 
@@ -56,6 +61,27 @@ struct OracleResult {
 // itself reported as a violation (reject-don't-crash is one of the
 // invariants under test).
 OracleResult RunCase(const FuzzCase& c);
+
+// The inclusive-LLC property of the cache model, checked by brute force:
+// every valid line in a core's L1-I, L1-D and private L2 is also in the
+// LLC. An LLC eviction keeps it by back-invalidating the victim from every
+// core. The one legal exception is a whole-LLC flush (FullCacheFlush with
+// the LLC), which leaves the other cores' private lines behind: a core
+// whose private caches held lines at such a flush is "stranded" and exempt
+// until its private caches are next seen empty.
+class InclusionChecker {
+ public:
+  explicit InclusionChecker(hw::Machine& machine) : machine_(machine) {}
+  // Call after every step; `flushed_llc` when the step flushed the whole
+  // LLC. Returns "" when the property holds, else the first violating line.
+  std::string Check(bool flushed_llc);
+  // Bit k set: core k is stranded.
+  std::uint64_t stranded() const { return stranded_; }
+
+ private:
+  hw::Machine& machine_;
+  std::uint64_t stranded_ = 0;
+};
 
 // Deterministic case generation: the same (target, case_seed) always yields
 // the same case, on any host.

@@ -119,6 +119,17 @@ class SetAssociativeCache {
     return FindWay(d.set, d.tag) >= 0;
   }
 
+  // Calls fn(line_paddr) for every valid line, in slot order.
+  template <typename Fn>
+  void ForEachValidLine(Fn&& fn) const {
+    for (std::size_t set = 0; set < valid_.size(); ++set) {
+      for (std::uint64_t v = valid_[set]; v != 0; v &= v - 1) {
+        const std::size_t way = static_cast<std::size_t>(std::countr_zero(v));
+        fn(static_cast<PAddr>(tags_[set * ways_ + way] * geometry_.line_size));
+      }
+    }
+  }
+
   // Invalidates one line if present; returns true if it was dirty.
   bool InvalidateLine(VAddr addr_for_index, PAddr addr_for_tag);
 
@@ -177,12 +188,6 @@ class SetAssociativeCache {
   // stamps) into a batch-replay digest. The signature array is a pure
   // per-slot function of the tag array and is skipped.
   void DigestState(std::uint64_t& h) const;
-  // Bytes DigestState folds — drives the replay memo's digest-cost gate.
-  std::size_t DigestSizeBytes() const {
-    return tags_.size() * sizeof(std::uint64_t) + ages_.size() +
-           (valid_.size() + dirty_.size()) * sizeof(std::uint64_t) +
-           taint_.DigestSizeBytes();
-  }
   void ResetStats();
 
   // Taint metadata (active only when taint tracking was enabled at

@@ -281,22 +281,26 @@ std::uint64_t HashBatch(std::span<const VAddr> vaddrs) {
   return h;
 }
 
+void CountOps(PerfCounters& counters, AccessKind kind, std::uint64_t n) {
+  switch (kind) {
+    case AccessKind::kRead:
+      counters.reads += n;
+      break;
+    case AccessKind::kWrite:
+      counters.writes += n;
+      break;
+    case AccessKind::kFetch:
+      counters.fetches += n;
+      break;
+  }
+}
+
 }  // namespace
 
 Cycles Core::Access(VAddr vaddr, AccessKind kind) {
   machine_->BumpStateGen();
   Cycles cost = lat().base_op;
-  switch (kind) {
-    case AccessKind::kRead:
-      ++counters_.reads;
-      break;
-    case AccessKind::kWrite:
-      ++counters_.writes;
-      break;
-    case AccessKind::kFetch:
-      ++counters_.fetches;
-      break;
-  }
+  CountOps(counters_, kind, 1);
   Translation tr = TranslateCharged(vaddr, kind == AccessKind::kFetch, cost);
   PAddr paddr = tr.paddr + PageOffset(vaddr);
   cost += CachePath(vaddr, paddr, kind);
@@ -350,126 +354,112 @@ std::uint32_t Core::ScopeOf(const ReplayDeltas& d) {
   return scope;
 }
 
+// One translation per page: an op on the same page and I/D side as the
+// previous op of the batch counts a first-level TLB hit and reuses the
+// previous translation. That is exactly what TranslateCharged would do:
+// the previous op left the page's entry MRU in this TLB (it hit and was
+// promoted, or it missed and was inserted), nothing between two ops of a
+// batch touches a TLB, so the lookup hits without moving an age; and the
+// host translation memo would return the same frame, since neither the
+// context nor its generation can change mid-batch. Taint tracking (a hit
+// re-stamps the entry) and an armed memo.stale site (its firing count is
+// per lookup) keep the full path.
+Core::PageRun::PageRun(Core& core)
+    : core_(core), reuse_(!core.taint_on_ && !core.fault_memo_stale_.armed()) {}
+
+PAddr Core::PageRun::Translate(VAddr va, bool instruction, Cycles& cost) {
+  const std::uint64_t vpn = PageNumber(va);
+  if (reuse_ && vpn == last_vpn_ && instruction == last_instruction_) {
+    (instruction ? *core_.itlb_ : *core_.dtlb_).RepeatHit();
+  } else {
+    frame_ = core_.TranslateCharged(va, instruction, cost).paddr;
+    last_vpn_ = vpn;
+    last_instruction_ = instruction;
+  }
+  return frame_ + PageOffset(va);
+}
+
+Cycles Core::RunBatch(std::span<const VAddr> vaddrs, AccessKind kind) {
+  machine_->BumpStateGen();
+  const bool instruction = kind == AccessKind::kFetch;
+  const Cycles base = lat().base_op;
+  PageRun pages(*this);
+  Cycles total = 0;
+  for (VAddr va : vaddrs) {
+    Cycles cost = base;
+    const PAddr paddr = pages.Translate(va, instruction, cost);
+    total += cost + CachePath(va, paddr, kind);
+  }
+  cycles_ += total;
+  return total;
+}
+
+Cycles Core::AccessBatchLive(std::span<const VAddr> vaddrs, AccessKind kind) {
+  if (vaddrs.empty()) {
+    return 0;
+  }
+  CountOps(counters_, kind, vaddrs.size());
+  return RunBatch(vaddrs, kind);
+}
+
 Cycles Core::AccessBatch(std::span<const VAddr> vaddrs, AccessKind kind) {
   if (vaddrs.empty()) {
     return 0;
   }
-  switch (kind) {
-    case AccessKind::kRead:
-      counters_.reads += vaddrs.size();
-      break;
-    case AccessKind::kWrite:
-      counters_.writes += vaddrs.size();
-      break;
-    case AccessKind::kFetch:
-      counters_.fetches += vaddrs.size();
-      break;
+  CountOps(counters_, kind, vaddrs.size());
+  if (!batch_replay_on_) {
+    return RunBatch(vaddrs, kind);
   }
-  const bool instruction = kind == AccessKind::kFetch;
-  BatchMemo* memo = nullptr;       // record slot whose pre-state is known
-  BatchMemo* keymate = nullptr;    // same batch, pre-state unrecognised
-  bool keymate_viable = false;     // keymate can still be rendezvoused with
-  if (batch_replay_on_) {
-    std::uint64_t hash = 0;
-    bool hashed = false;
-    for (BatchMemo& m : batch_memos_) {
-      if (m.data != vaddrs.data() || m.size != vaddrs.size() || m.kind != kind ||
-          m.user_ctx != user_ctx_ || m.kernel_ctx != kernel_ctx_ ||
-          m.user_gen != *user_gen_ || m.kernel_gen != *kernel_gen_ ||
-          m.taint_owner != taint_owner_ || m.domain_tag != domain_tag_ ||
-          m.kernel_global != kernel_global_) {
-        continue;
-      }
-      if (!hashed) {
-        hash = HashBatch(vaddrs);
-        hashed = true;
-      }
-      if (m.content_hash != hash) {
-        continue;
-      }
-      if (m.state_gen == machine_->state_gen()) {
-        // Nothing touched a cache or TLB since the recorded run: the
-        // machine still sits at that run's post-state.
-        if (m.verified) {
-          ApplyReplay(m.deltas);
-          return m.deltas.total;
-        }
-        memo = &m;
-        break;
-      }
-      // Cross-timeslice rendezvous: intervening work moved the generation,
-      // but if the scoped digest of the current state matches the memo's
-      // post-state digest, the run's entire visible state is back where the
-      // recorded run left it (a probe kernel re-entered after a switch).
-      // Only worth a fold when it is cheaper than the run it may elide, and
-      // damped once the pre-state stops recurring.
-      keymate = &m;
-      keymate_viable = m.digest_post != 0 && m.fail_streak < kMaxFailStreak &&
-                       machine_->ScopedDigestBytes(m.scope, id_) <=
-                           m.deltas.total * kDigestBytesPerCycle;
-      if (!keymate_viable) {
-        break;
-      }
-      if (machine_->ScopedDigest(m.scope, id_) != m.digest_post) {
-        ++m.fail_streak;
-        break;
-      }
-      m.fail_streak = 0;
-      m.state_gen = machine_->state_gen();
+  BatchMemo* memo = nullptr;  // this batch's record, if it has one
+  bool state_known = false;   // ...and the machine still sits at its post-state
+  std::uint64_t hash = 0;
+  bool hashed = false;
+  for (BatchMemo& m : batch_memos_) {
+    if (m.data != vaddrs.data() || m.size != vaddrs.size() || m.kind != kind ||
+        m.user_ctx != user_ctx_ || m.kernel_ctx != kernel_ctx_ ||
+        m.user_gen != *user_gen_ || m.kernel_gen != *kernel_gen_ ||
+        m.taint_owner != taint_owner_ || m.domain_tag != domain_tag_ ||
+        m.kernel_global != kernel_global_) {
+      continue;
+    }
+    if (!hashed) {
+      hash = HashBatch(vaddrs);
+      hashed = true;
+    }
+    if (m.content_hash != hash) {
+      continue;
+    }
+    if (m.state_gen == machine_->state_gen()) {
+      // Nothing touched a cache or TLB since the recorded run: the
+      // machine still sits at that run's post-state.
       if (m.verified) {
         ApplyReplay(m.deltas);
         return m.deltas.total;
       }
-      memo = &m;
-      keymate = nullptr;
-      break;
+      state_known = true;
     }
+    memo = &m;
+    break;
   }
-  machine_->BumpStateGen();
   const StatSnapshot before = TakeStats();
-  const Cycles base = lat().base_op;
-  Cycles total = 0;
-  for (VAddr va : vaddrs) {
-    Cycles cost = base;
-    Translation tr = TranslateCharged(va, instruction, cost);
-    total += cost + CachePath(va, tr.paddr + PageOffset(va), kind);
-  }
-  cycles_ += total;
-  if (!batch_replay_on_) {
-    return total;
-  }
+  const Cycles total = RunBatch(vaddrs, kind);
   const ReplayDeltas deltas = DiffStats(before, total);
   const std::uint32_t scope = ScopeOf(deltas);
-  const bool state_known = memo != nullptr;
   if (memo == nullptr) {
-    if (keymate != nullptr) {
-      if (keymate->verified && keymate_viable && keymate->fail_streak <= 1) {
-        // The batch ran from an unrecognised state (e.g. the warm-up probe
-        // right after a domain switch perturbed the scope) while a fixpoint
-        // memo the next probe can rendezvous with exists for it: keep the
-        // fixpoint. Only the first miss is forgiven — two in a row mean the
-        // stored fixpoint went stale (the steady state drifted), and the
-        // memo is refreshed below so convergence re-anchors to the state
-        // that actually recurs.
-        return total;
+    // Claim a slot, preferring one not holding a proven fixpoint.
+    for (std::size_t i = 0; i < kBatchMemos; ++i) {
+      const std::size_t idx = (batch_memo_next_ + i) % kBatchMemos;
+      if (!batch_memos_[idx].verified) {
+        batch_memo_next_ = idx;
+        break;
       }
-      memo = keymate;  // stale or unrecognisable record: refresh in place
-    } else {
-      // Claim a slot, preferring one not holding a proven fixpoint.
-      for (std::size_t i = 0; i < kBatchMemos; ++i) {
-        const std::size_t idx = (batch_memo_next_ + i) % kBatchMemos;
-        if (!batch_memos_[idx].verified) {
-          batch_memo_next_ = idx;
-          break;
-        }
-      }
-      memo = &batch_memos_[batch_memo_next_];
-      batch_memo_next_ = (batch_memo_next_ + 1) % kBatchMemos;
     }
+    memo = &batch_memos_[batch_memo_next_];
+    batch_memo_next_ = (batch_memo_next_ + 1) % kBatchMemos;
     memo->data = vaddrs.data();
     memo->size = vaddrs.size();
     memo->kind = kind;
-    memo->content_hash = HashBatch(vaddrs);
+    memo->content_hash = hashed ? hash : HashBatch(vaddrs);
     memo->user_ctx = user_ctx_;
     memo->kernel_ctx = kernel_ctx_;
     memo->user_gen = *user_gen_;
@@ -477,8 +467,6 @@ Cycles Core::AccessBatch(std::span<const VAddr> vaddrs, AccessKind kind) {
     memo->taint_owner = taint_owner_;
     memo->domain_tag = domain_tag_;
     memo->kernel_global = kernel_global_;
-    memo->digest_post = 0;
-    memo->verified = false;
   }
   const bool all_hit = deltas.itlb.misses + deltas.dtlb.misses == 0 &&
                        deltas.l1i.misses + deltas.l1d.misses == 0;
@@ -490,20 +478,18 @@ Cycles Core::AccessBatch(std::span<const VAddr> vaddrs, AccessKind kind) {
     memo->digest_post = 0;
   } else if (state_known) {
     // Fold the touched scope. Only convergence candidates (known
-    // pre-state) digest: the batch demonstrably re-runs, and one fold can
-    // unlock a whole timeslice of replays. First sightings never digest —
-    // a batch whose pre-state is only ever seen once cannot rendezvous,
-    // and the fold would be pure cost.
+    // pre-state) digest: the batch demonstrably re-runs back to back.
+    // First sightings never digest — the fold would be pure cost.
     const std::uint64_t digest = machine_->ScopedDigest(scope, id_);
-    memo->verified = state_known && memo->digest_post != 0 &&
-                     memo->scope == scope && memo->digest_post == digest;
+    memo->verified =
+        memo->digest_post != 0 && memo->scope == scope && memo->digest_post == digest;
     memo->digest_post = digest;
   } else {
+    // Recorded from an unrecognised pre-state: start convergence afresh.
     memo->verified = false;
     memo->digest_post = 0;
   }
   memo->scope = scope;
-  memo->fail_streak = 0;
   memo->deltas = deltas;
   memo->state_gen = machine_->state_gen();
   return total;
@@ -608,40 +594,19 @@ void Core::DigestPrivateCaches(std::uint64_t& h) const {
   }
 }
 
-std::size_t Core::DigestBytesScoped(std::uint32_t scope) const {
-  std::size_t bytes = 0;
-  if ((scope & kScopeL1I) != 0) bytes += l1i_->DigestSizeBytes();
-  if ((scope & kScopeL1D) != 0) bytes += l1d_->DigestSizeBytes();
-  if ((scope & kScopeL2) != 0 && l2_ != nullptr) bytes += l2_->DigestSizeBytes();
-  if ((scope & kScopeItlb) != 0) bytes += itlb_->DigestSizeBytes();
-  if ((scope & kScopeDtlb) != 0) bytes += dtlb_->DigestSizeBytes();
-  if ((scope & kScopeL2Tlb) != 0) bytes += l2tlb_->DigestSizeBytes();
-  if ((scope & kScopePrefetch) != 0) bytes += prefetcher_->DigestSizeBytes();
-  return bytes;
-}
-
 Cycles Core::AccessBatch(std::span<const MemOp> ops) {
   if (ops.empty()) {
     return 0;
   }
   machine_->BumpStateGen();
   const Cycles base = lat().base_op;
+  PageRun pages(*this);
   Cycles total = 0;
   for (const MemOp& op : ops) {
-    switch (op.kind) {
-      case AccessKind::kRead:
-        ++counters_.reads;
-        break;
-      case AccessKind::kWrite:
-        ++counters_.writes;
-        break;
-      case AccessKind::kFetch:
-        ++counters_.fetches;
-        break;
-    }
+    CountOps(counters_, op.kind, 1);
     Cycles cost = base;
-    Translation tr = TranslateCharged(op.va, op.kind == AccessKind::kFetch, cost);
-    total += cost + CachePath(op.va, tr.paddr + PageOffset(op.va), op.kind);
+    const PAddr paddr = pages.Translate(op.va, op.kind == AccessKind::kFetch, cost);
+    total += cost + CachePath(op.va, paddr, op.kind);
   }
   cycles_ += total;
   return total;

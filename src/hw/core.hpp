@@ -145,6 +145,10 @@ class Core {
   // (and every state mutation) equals the per-call loop's.
   Cycles AccessBatch(std::span<const VAddr> vaddrs, AccessKind kind);
   Cycles AccessBatch(std::span<const MemOp> ops);
+  // The vaddr batch without the replay memo, for callers that rebuild their
+  // list on every call (the kernel's text and data line runs): a memo keyed
+  // on a reused scratch buffer would only cost its lookup and record.
+  Cycles AccessBatchLive(std::span<const VAddr> vaddrs, AccessKind kind);
   // Branch at `pc` to `target`; cost depends on predictor state.
   Cycles Branch(VAddr pc, VAddr target, bool taken, bool conditional);
   // Pure compute / pipeline time.
@@ -198,8 +202,6 @@ class Core {
   // The private cache levels only (L1s + private L2): what an inclusive-LLC
   // back-invalidate from another core's batch can reach.
   void DigestPrivateCaches(std::uint64_t& h) const;
-  // Bytes DigestScoped would fold: the cost side of the replay-memo gate.
-  std::size_t DigestBytesScoped(std::uint32_t scope) const;
 
  private:
   const TranslationContext* ContextFor(VAddr vaddr) const;
@@ -209,6 +211,24 @@ class Core {
   Cycles CachePath(VAddr vaddr, PAddr paddr, AccessKind kind);
   // Demand access used by the page walker (physical, data side).
   Cycles WalkerRead(PAddr paddr);
+  // The live per-op loop shared by both vaddr batch entry points (op
+  // counters are the caller's).
+  Cycles RunBatch(std::span<const VAddr> vaddrs, AccessKind kind);
+  // The translations of one batch: an op on the same page and I/D side as
+  // the previous op reuses its frame (exactness argument at its definition).
+  class PageRun {
+   public:
+    explicit PageRun(Core& core);
+    // Physical address of `va`, charging its translation into `cost`.
+    PAddr Translate(VAddr va, bool instruction, Cycles& cost);
+
+   private:
+    Core& core_;
+    bool reuse_;  // off under taint tracking or an armed memo.stale site
+    std::uint64_t last_vpn_ = ~std::uint64_t{0};  // no page yet
+    bool last_instruction_ = false;
+    PAddr frame_ = 0;
+  };
 
   CoreId id_;
   Machine* machine_;
@@ -302,12 +322,9 @@ class Core {
   // all-hit run is one analytically (no fills, final LRU ages a pure
   // function of the touch order, dirty/taint writes idempotent), and any
   // batch is one once two consecutive live runs end in the same scoped
-  // state digest. The fixpoint state is recognised two ways: the machine
-  // generation still matching (nothing touched a cache or TLB since the
-  // run) or, across intervening work, the scoped digest of the current
-  // state matching digest_post — the cross-timeslice rendezvous that lets
-  // a probe kernel resume replaying right after a domain switch perturbed
-  // unrelated state.
+  // state digest. The fixpoint state is recognised only by the machine
+  // generation still matching: nothing touched a cache or TLB since the
+  // run.
   struct BatchMemo {
     const VAddr* data = nullptr;
     std::size_t size = 0;
@@ -324,18 +341,9 @@ class Core {
     std::uint32_t scope = 0;        // BatchScope mask of the recorded run
     std::uint64_t digest_post = 0;  // scoped digest after the run (0 = none)
     bool verified = false;          // fixpoint proven; replay allowed
-    std::uint8_t fail_streak = 0;   // consecutive digest rendezvous misses
     ReplayDeltas deltas;
   };
   static constexpr std::size_t kBatchMemos = 16;
-  // Rendezvous digests stop being attempted for a memo after this many
-  // consecutive misses: a batch whose pre-state never recurs (a raw-mode
-  // receiver drifting with the sender) must not pay a fold per lookup.
-  static constexpr std::uint8_t kMaxFailStreak = 8;
-  // A digest fold costs ~1 host ns per 4-6 bytes; a live run ~1 ns per
-  // simulated cycle. A digest is only worth taking when the fold is
-  // cheaper than the run it may later elide.
-  static constexpr std::uint64_t kDigestBytesPerCycle = 4;
   BatchMemo batch_memos_[kBatchMemos];
   std::size_t batch_memo_next_ = 0;
   // Latched at construction: replay stands down whenever fault injection is

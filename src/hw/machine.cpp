@@ -173,19 +173,6 @@ std::uint64_t Machine::ScopedDigestUncached(std::uint32_t scope, std::size_t cor
   return h;
 }
 
-std::size_t Machine::ScopedDigestBytes(std::uint32_t scope, std::size_t core) const {
-  std::size_t bytes = (scope & kScopeLlc) != 0 ? llc_->DigestSizeBytes() : 0;
-  bytes += cores_[core]->DigestBytesScoped(scope);
-  if ((scope & kScopeXCores) != 0) {
-    for (std::size_t i = 0; i < cores_.size(); ++i) {
-      if (i != core) {
-        bytes += cores_[i]->DigestBytesScoped(kScopeL1I | kScopeL1D | kScopeL2);
-      }
-    }
-  }
-  return bytes;
-}
-
 void Machine::BackInvalidateLine(PAddr line_paddr) {
   ++back_invalidate_count_;
   for (std::unique_ptr<Core>& core : cores_) {

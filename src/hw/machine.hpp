@@ -119,8 +119,6 @@ class Machine {
   // checkers can digest a machine they only hold const access to and
   // cross-check that the cached path returns the identical value.
   std::uint64_t ScopedDigestUncached(std::uint32_t scope, std::size_t core) const;
-  // Bytes ScopedDigest would fold — the cost side of the replay-memo gate.
-  std::size_t ScopedDigestBytes(std::uint32_t scope, std::size_t core) const;
 
   // Machine-wide count of inclusive-LLC back-invalidations. A batch that
   // evicted an LLC line may have silently invalidated another core's

@@ -56,6 +56,12 @@ class Tlb {
     return false;
   }
 
+  // A hit on the entry the previous Lookup/Insert of this TLB left MRU,
+  // with no TLB operation in between: promoting the MRU entry leaves every
+  // age as it is, so only the tally moves. Callers keep taint tracking off
+  // (a real hit would re-stamp the entry's owner).
+  void RepeatHit() { ++hits_; }
+
   void Insert(std::uint64_t vpn, Asid asid, bool global);
 
   void FlushAll();          // e.g. Arm TLBIALL
@@ -78,11 +84,6 @@ class Tlb {
 
   // Folds the behavioural state into a batch-replay digest (see cache.hpp).
   void DigestState(std::uint64_t& h) const;
-  std::size_t DigestSizeBytes() const {
-    return vpns_.size() * sizeof(std::uint64_t) + asids_.size() * sizeof(Asid) +
-           ages_.size() + (valid_.size() + global_.size()) * sizeof(std::uint64_t) +
-           taint_.DigestSizeBytes();
-  }
 
   // Taint metadata (active only when tracking was enabled at construction);
   // TLBs are uncolourable, so every entry uses colour 0. Entry index is

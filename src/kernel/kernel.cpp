@@ -126,25 +126,32 @@ void Kernel::ExecText(hw::CoreId core, KernelOp op) {
   const Kernel::TextWindow& w = kTextWindows[static_cast<std::size_t>(op)];
   const KernelImageObj& image = objects_.As<KernelImageObj>(core_state_[core].cur_image);
   std::size_t line = machine_.config().llc.line_size;
-  hw::Core& cpu = machine_.core(core);
+  line_run_.clear();
   for (std::uint32_t i = 0; i < w.length_lines; ++i) {
     hw::PAddr pa = image.PaddrOf(image.text_off + (w.offset_lines + i) * line);
-    cpu.Access(hw::KernelVaddrFor(pa), hw::AccessKind::kFetch);
+    line_run_.push_back(hw::KernelVaddrFor(pa));
   }
+  // One live batch: the same accesses in the same order as a per-line
+  // Access loop (see Core::AccessBatch), without a dispatch per line.
+  machine_.core(core).AccessBatchLive(line_run_, hw::AccessKind::kFetch);
 }
 
 void Kernel::TouchData(hw::CoreId core, hw::PAddr paddr, std::size_t bytes, bool write) {
   std::size_t line = machine_.config().llc.line_size;
-  hw::Core& cpu = machine_.core(core);
   hw::PAddr first = paddr / line * line;
   hw::PAddr last = (paddr + (bytes == 0 ? 0 : bytes - 1)) / line * line;
+  line_run_.clear();
   for (hw::PAddr pa = first; pa <= last; pa += line) {
+    // The probe only records addresses, so reporting the run's lines before
+    // the batch runs them is the same as reporting each before its access.
     if (shared_probe_ && pa >= shared_data_.base &&
         pa < shared_data_.base + shared_data_.size) {
       shared_probe_(pa, write);
     }
-    cpu.Access(hw::KernelVaddrFor(pa), write ? hw::AccessKind::kWrite : hw::AccessKind::kRead);
+    line_run_.push_back(hw::KernelVaddrFor(pa));
   }
+  machine_.core(core).AccessBatchLive(line_run_,
+                                      write ? hw::AccessKind::kWrite : hw::AccessKind::kRead);
 }
 
 void Kernel::TouchStack(hw::CoreId core, std::size_t bytes, bool write) {

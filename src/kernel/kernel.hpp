@@ -325,6 +325,7 @@ class Kernel {
   std::uint64_t domain_switches_ = 0;
   std::unordered_map<DomainId, ObjId> domain_image_;
   SharedTouchProbe shared_probe_;
+  std::vector<hw::VAddr> line_run_;  // ExecText/TouchData batch scratch
   std::vector<std::unique_ptr<UserProgram>> kernel_owned_programs_;  // idle threads
   std::vector<std::unique_ptr<UserApi>> apis_;  // one per core
   std::unique_ptr<ContractChecker> checker_;    // taint mode only

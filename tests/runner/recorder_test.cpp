@@ -16,7 +16,9 @@ namespace {
 class RecorderTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "recorder_test.json";
+    // One file per test: ctest runs the cases as parallel processes.
+    path_ = ::testing::TempDir() + "recorder_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".json";
     std::remove(path_.c_str());
     setenv("TP_BENCH_JSON", path_.c_str(), 1);
     setenv("TP_BENCH_LABEL", "unit-test", 1);
