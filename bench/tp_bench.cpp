@@ -41,6 +41,7 @@
 
 #include "faults/fault.hpp"
 #include "hw/core.hpp"
+#include "kernel/kernel.hpp"
 #include "runner/recorder.hpp"
 #include "runner/runner.hpp"
 #include "scenarios/driver.hpp"
@@ -65,6 +66,9 @@ struct ProfileRow {
   std::uint64_t rounds_run = 0;
   std::uint64_t rounds_budget = 0;
   bool adaptive = false;
+  // Kernel stepping (implementation-level, reported only): StepCore calls
+  // and the steps RunUntil fast-forwarded instead, in how many batches.
+  tp::kernel::StepTally steps;
 };
 
 void PrintProfile(const std::vector<ProfileRow>& rows, std::size_t threads) {
@@ -75,8 +79,9 @@ void PrintProfile(const std::vector<ProfileRow>& rows, std::size_t threads) {
   bool any_adaptive = false;
   std::printf("\n--- tp_bench --profile: host simulation throughput (%zu thread%s) ---\n",
               threads, threads == 1 ? "" : "s");
-  std::printf("%-28s %16s %14s %12s %14s %12s %12s %8s\n", "channel", "sim accesses",
-              "sim branches", "wall s", "accesses/s", "rounds run", "budget", "saved");
+  std::printf("%-28s %16s %14s %12s %14s %12s %12s %8s %14s %14s %12s\n", "channel",
+              "sim accesses", "sim branches", "wall s", "accesses/s", "rounds run", "budget",
+              "saved", "step calls", "ff steps", "ff batches");
   auto saved_pct = [](std::uint64_t run, std::uint64_t budget) -> std::string {
     if (budget == 0) {
       return "-";
@@ -89,12 +94,15 @@ void PrintProfile(const std::vector<ProfileRow>& rows, std::size_t threads) {
   for (const ProfileRow& row : rows) {
     double secs = static_cast<double>(row.wall_ns) / 1e9;
     double rate = secs > 0.0 ? static_cast<double>(row.accesses) / secs : 0.0;
-    std::printf("%-28s %16llu %14llu %12.3f %14.3g %12llu %12llu %8s\n",
+    std::printf("%-28s %16llu %14llu %12.3f %14.3g %12llu %12llu %8s %14llu %14llu %12llu\n",
                 row.channel.c_str(), static_cast<unsigned long long>(row.accesses),
                 static_cast<unsigned long long>(row.branches), secs, rate,
                 static_cast<unsigned long long>(row.rounds_run),
                 static_cast<unsigned long long>(row.rounds_budget),
-                row.adaptive ? saved_pct(row.rounds_run, row.rounds_budget).c_str() : "-");
+                row.adaptive ? saved_pct(row.rounds_run, row.rounds_budget).c_str() : "-",
+                static_cast<unsigned long long>(row.steps.step_calls),
+                static_cast<unsigned long long>(row.steps.fast_forward_steps),
+                static_cast<unsigned long long>(row.steps.fast_forward_batches));
     total_accesses += row.accesses;
     total_wall += row.wall_ns;
     total_run += row.rounds_run;
@@ -413,6 +421,7 @@ int main(int argc, char** argv) {
     // channel body does before returning — the delta across RunSpec is the
     // channel's simulated work.
     tp::hw::SimTally before = tp::hw::SimTallySnapshot();
+    tp::kernel::StepTally steps_before = tp::kernel::StepTallySnapshot();
     std::uint64_t t0 = tp::bench::Recorder::NowNs();
     std::uint64_t rounds_run = 0;
     std::uint64_t rounds_budget = 0;
@@ -457,10 +466,14 @@ int main(int argc, char** argv) {
     verdicts.push_back(std::move(verdict));
     if (profile) {
       tp::hw::SimTally after = tp::hw::SimTallySnapshot();
-      profile_rows.push_back(ProfileRow{spec->name, after.accesses - before.accesses,
-                                        after.branches - before.branches,
-                                        tp::bench::Recorder::NowNs() - t0, rounds_run,
-                                        rounds_budget, adaptive});
+      tp::kernel::StepTally steps_after = tp::kernel::StepTallySnapshot();
+      profile_rows.push_back(ProfileRow{
+          spec->name, after.accesses - before.accesses, after.branches - before.branches,
+          tp::bench::Recorder::NowNs() - t0, rounds_run, rounds_budget, adaptive,
+          tp::kernel::StepTally{
+              steps_after.step_calls - steps_before.step_calls,
+              steps_after.fast_forward_steps - steps_before.fast_forward_steps,
+              steps_after.fast_forward_batches - steps_before.fast_forward_batches}});
     }
   }
   if (profile) {

@@ -1,5 +1,6 @@
 #include "attacks/channel_experiment.hpp"
 
+#include <cassert>
 #include <cstdlib>
 
 #include "core/padding.hpp"
@@ -21,8 +22,30 @@ void SymbolSender::Step(kernel::UserApi& api) {
     symbols_.push_back(current_symbol_);
     burst_ = 0;
   }
-  Transmit(api, current_symbol_, burst_++);
+  const std::size_t burst = burst_++;
+  if (const hw::Cycles idle = QuiescentCycles(current_symbol_, burst); idle != 0) {
+    api.Compute(idle);
+  } else {
+    Transmit(api, current_symbol_, burst);
+  }
   sync_.StepEnd(api.Now());
+}
+
+std::size_t SymbolSender::FastForward(kernel::UserApi& api, hw::Cycles bound) {
+  const hw::Cycles now = api.Now();
+  if (current_symbol_ < 0 || sync_.StartsSlice(now)) {
+    return 0;
+  }
+  const hw::Cycles idle = QuiescentCycles(current_symbol_, burst_);
+  const std::size_t steps = kernel::QuiescentSteps(now, bound, idle);
+  if (steps == 0) {
+    return 0;
+  }
+  assert(QuiescentCycles(current_symbol_, burst_ + steps - 1) == idle);
+  api.Compute(steps * idle);
+  burst_ += steps;
+  sync_.SkipSteps(now, api.Now(), steps);
+  return steps;
 }
 
 void SliceReceiver::Step(kernel::UserApi& api) {
@@ -35,9 +58,29 @@ void SliceReceiver::Step(kernel::UserApi& api) {
       primed_ = true;
     }
   } else {
-    IdleStep(api);
+    if (!IdleQuiescent(now)) {
+      IdleObserve();
+    }
+    api.Compute(IdleCycles());
+    IdleEnd(api.Now());
   }
   sync_.StepEnd(api.Now());
+}
+
+std::size_t SliceReceiver::FastForward(kernel::UserApi& api, hw::Cycles bound) {
+  const hw::Cycles now = api.Now();
+  if (sync_.StartsSlice(now) || !IdleQuiescent(now)) {
+    return 0;
+  }
+  const std::size_t steps = kernel::QuiescentSteps(now, bound, IdleCycles());
+  if (steps == 0) {
+    return 0;
+  }
+  api.Compute(steps * IdleCycles());
+  IdleEnd(api.Now());
+  assert(IdleQuiescent(api.Now()));
+  sync_.SkipSteps(now, api.Now(), steps);
+  return steps;
 }
 
 Experiment MakeExperiment(const hw::MachineConfig& machine_config, core::Scenario scenario,

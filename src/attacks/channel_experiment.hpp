@@ -31,11 +31,27 @@ class SliceSync {
   // Call once per Step with the step-start time; afterwards call
   // StepEnd(now). Returns true when this step begins a new timeslice.
   bool NewSlice(hw::Cycles now) {
-    bool fresh = last_end_ == 0 || now - last_end_ >= threshold_;
+    bool fresh = StartsSlice(now);
     last_gap_ = last_end_ == 0 ? 0 : now - last_end_;
     return fresh;
   }
   void StepEnd(hw::Cycles now) { last_end_ = now; }
+
+  // Whether a step starting at `now` would begin a new timeslice.
+  bool StartsSlice(hw::Cycles now) const {
+    return last_end_ == 0 || now - last_end_ >= threshold_;
+  }
+  // Records `steps` back-to-back in-slice steps, the first starting at
+  // `start` and the last ending at `end`, as that many NewSlice/StepEnd
+  // pairs would: every step after the first starts where the one before
+  // it ended.
+  void SkipSteps(hw::Cycles start, hw::Cycles end, std::size_t steps) {
+    NewSlice(start);
+    if (steps > 1) {
+      last_gap_ = 0;
+    }
+    StepEnd(end);
+  }
 
   hw::Cycles last_gap() const { return last_gap_; }
 
@@ -53,14 +69,25 @@ class SymbolSender : public kernel::UserProgram {
       : sync_(slice_gap), num_symbols_(num_symbols), rng_(seed), dist_(0, num_symbols - 1) {}
 
   void Step(kernel::UserApi& api) final;
+  std::size_t FastForward(kernel::UserApi& api, hw::Cycles bound) final;
 
   const std::vector<int>& symbols_sent() const { return symbols_; }
 
  protected:
+  // What a sender's quiescent step burns: past its last burst of a slice,
+  // or on an idle symbol.
+  static constexpr hw::Cycles kIdleCycles = 400;
+
   int num_symbols() const { return num_symbols_; }
 
-  // Transmit a short burst encoding `symbol`; called repeatedly during the
-  // slice with `burst` counting up from 0 at the slice start.
+  // The cycles of step `burst` of `symbol` when that step is quiescent
+  // (only burns time), else 0. Once nonzero it must stay the same for
+  // every later burst of the symbol. Step runs a quiescent step as
+  // exactly this, so it is the only definition of the sender's idling.
+  virtual hw::Cycles QuiescentCycles(int symbol, std::size_t burst) const = 0;
+  // Transmit a short burst encoding `symbol`; called for every step of the
+  // slice that is not quiescent, with `burst` counting up from 0 at the
+  // slice start.
   virtual void Transmit(kernel::UserApi& api, int symbol, std::size_t burst) = 0;
 
  private:
@@ -79,6 +106,7 @@ class SliceReceiver : public kernel::UserProgram {
   explicit SliceReceiver(hw::Cycles slice_gap) : sync_(slice_gap) {}
 
   void Step(kernel::UserApi& api) final;
+  std::size_t FastForward(kernel::UserApi& api, hw::Cycles bound) final;
 
   const std::vector<double>& samples() const { return samples_; }
 
@@ -86,8 +114,16 @@ class SliceReceiver : public kernel::UserProgram {
   // Called at each slice start after the first; returns the measurement for
   // the *previous* sender slice (typically: probe, then re-prime).
   virtual double MeasureAndPrime(kernel::UserApi& api) = 0;
-  // Called for every in-slice step after the boundary one.
-  virtual void IdleStep(kernel::UserApi& api) { api.Compute(200); }
+
+  // Every in-slice step after the boundary one idles: it burns
+  // IdleCycles() and reports its end to IdleEnd. It is quiescent unless
+  // IdleQuiescent(now) is false for its start time `now`, in which case
+  // IdleObserve() records what the step saw before it idles. Step and
+  // FastForward both go through these, so the idle step is defined once.
+  virtual hw::Cycles IdleCycles() const { return 200; }
+  virtual bool IdleQuiescent(hw::Cycles /*now*/) const { return true; }
+  virtual void IdleObserve() {}
+  virtual void IdleEnd(hw::Cycles /*end*/) {}
 
   SliceSync& sync() { return sync_; }
 

@@ -6,17 +6,14 @@ namespace {
 constexpr std::size_t kMaxBursts = 16;
 }
 
-void DirtyLineSender::Transmit(kernel::UserApi& api, int symbol, std::size_t burst) {
-  if (burst >= kMaxBursts) {
-    api.Compute(400);
-    return;
-  }
+hw::Cycles DirtyLineSender::QuiescentCycles(int symbol, std::size_t burst) const {
+  return burst >= kMaxBursts || symbol == 0 || lines_per_symbol_ == 0 ? kIdleCycles : 0;
+}
+
+void DirtyLineSender::Transmit(kernel::UserApi& api, int symbol, std::size_t /*burst*/) {
   std::size_t lines = static_cast<std::size_t>(symbol) * lines_per_symbol_;
   for (std::size_t i = 0; i < lines; ++i) {
     api.Write(base_ + (i * line_size_) % buffer_bytes_);
-  }
-  if (lines == 0) {
-    api.Compute(400);
   }
 }
 
@@ -35,10 +32,7 @@ double FlushTimingReceiver::MeasureAndPrime(kernel::UserApi& api) {
   return sample;
 }
 
-void FlushTimingReceiver::IdleStep(kernel::UserApi& api) {
-  api.Compute(100);
-  online_end_ = api.Now();
-}
+void FlushTimingReceiver::IdleEnd(hw::Cycles end) { online_end_ = end; }
 
 mi::Observations RunFlushChannel(Experiment& exp, const FlushChannelParams& params,
                                  std::size_t rounds, std::uint64_t seed) {

@@ -31,6 +31,7 @@ class DirtyLineSender final : public SymbolSender {
         line_size_(line_size) {}
 
  protected:
+  hw::Cycles QuiescentCycles(int symbol, std::size_t burst) const override;
   void Transmit(kernel::UserApi& api, int symbol, std::size_t burst) override;
 
  private:
@@ -52,7 +53,8 @@ class FlushTimingReceiver final : public SliceReceiver {
 
  protected:
   double MeasureAndPrime(kernel::UserApi& api) override;
-  void IdleStep(kernel::UserApi& api) override;
+  hw::Cycles IdleCycles() const override { return 100; }
+  void IdleEnd(hw::Cycles end) override;
 
  private:
   TimingObservable observable_;

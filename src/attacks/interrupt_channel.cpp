@@ -2,13 +2,19 @@
 
 namespace tp::attacks {
 
-void TimerTrojan::Transmit(kernel::UserApi& api, int symbol, std::size_t burst) {
-  if (burst == 0) {
-    api.SetTimer(timer_cap_, base_delay_ + static_cast<hw::Cycles>(symbol) * step_delay_);
-  }
-  // Sleep for the rest of the slice (the paper's Trojan idles after
-  // programming the timer).
-  api.Compute(1000);
+namespace {
+constexpr hw::Cycles kTrojanSleepCycles = 1000;
+}
+
+// Every step after the first sleeps for the rest of the slice (the paper's
+// Trojan idles after programming the timer).
+hw::Cycles TimerTrojan::QuiescentCycles(int /*symbol*/, std::size_t burst) const {
+  return burst > 0 ? kTrojanSleepCycles : 0;
+}
+
+void TimerTrojan::Transmit(kernel::UserApi& api, int symbol, std::size_t /*burst*/) {
+  api.SetTimer(timer_cap_, base_delay_ + static_cast<hw::Cycles>(symbol) * step_delay_);
+  api.Compute(kTrojanSleepCycles);
 }
 
 double InterruptSpy::MeasureAndPrime(kernel::UserApi& api) {
@@ -21,16 +27,18 @@ double InterruptSpy::MeasureAndPrime(kernel::UserApi& api) {
   return sample;
 }
 
-void InterruptSpy::IdleStep(kernel::UserApi& api) {
-  hw::Cycles now = api.Now();
-  hw::Cycles gap = now - prev_end_;
-  if (first_interrupt_offset_ < 0.0 && gap >= irq_gap_ && gap < slice_gap_) {
-    // The kernel handled an interrupt in the middle of our online time.
-    first_interrupt_offset_ = static_cast<double>(prev_end_ - slice_start_);
-  }
-  api.Compute(1000);
-  prev_end_ = api.Now();
+// The step is quiescent unless it is the first to see an IRQ-handling gap:
+// the kernel handled an interrupt in the middle of our online time.
+bool InterruptSpy::IdleQuiescent(hw::Cycles now) const {
+  const hw::Cycles gap = now - prev_end_;
+  return !(first_interrupt_offset_ < 0.0 && gap >= irq_gap_ && gap < slice_gap_);
 }
+
+void InterruptSpy::IdleObserve() {
+  first_interrupt_offset_ = static_cast<double>(prev_end_ - slice_start_);
+}
+
+void InterruptSpy::IdleEnd(hw::Cycles end) { prev_end_ = end; }
 
 mi::Observations RunInterruptChannel(Experiment& exp, const InterruptChannelParams& params,
                                      std::size_t rounds, std::uint64_t seed) {

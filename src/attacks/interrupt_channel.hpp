@@ -26,6 +26,7 @@ class TimerTrojan final : public SymbolSender {
         step_delay_(step_delay) {}
 
  protected:
+  hw::Cycles QuiescentCycles(int symbol, std::size_t burst) const override;
   void Transmit(kernel::UserApi& api, int symbol, std::size_t burst) override;
 
  private:
@@ -45,7 +46,10 @@ class InterruptSpy final : public SliceReceiver {
 
  protected:
   double MeasureAndPrime(kernel::UserApi& api) override;
-  void IdleStep(kernel::UserApi& api) override;
+  hw::Cycles IdleCycles() const override { return 1000; }
+  bool IdleQuiescent(hw::Cycles now) const override;
+  void IdleObserve() override;
+  void IdleEnd(hw::Cycles end) override;
 
  private:
   hw::Cycles irq_gap_;

@@ -6,11 +6,12 @@ namespace {
 constexpr std::size_t kSyscallsPerSlice = 24;
 }
 
-void KernelChannelSender::Transmit(kernel::UserApi& api, int symbol, std::size_t burst) {
-  if (burst >= kSyscallsPerSlice) {
-    api.Compute(400);
-    return;
-  }
+hw::Cycles KernelChannelSender::QuiescentCycles(int symbol, std::size_t burst) const {
+  // Symbols 3 and up idle (the fourth symbol of I).
+  return burst >= kSyscallsPerSlice || symbol >= 3 ? kIdleCycles : 0;
+}
+
+void KernelChannelSender::Transmit(kernel::UserApi& api, int symbol, std::size_t /*burst*/) {
   switch (symbol) {
     case 0:
       api.Signal(notification_);
@@ -18,11 +19,8 @@ void KernelChannelSender::Transmit(kernel::UserApi& api, int symbol, std::size_t
     case 1:
       api.SetPriority(tcb_, 100);
       break;
-    case 2:
-      api.Poll(notification_);
-      break;
     default:
-      api.Compute(400);  // idle
+      api.Poll(notification_);
       break;
   }
 }

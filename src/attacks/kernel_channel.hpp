@@ -34,6 +34,7 @@ class KernelChannelSender final : public SymbolSender {
   }
 
  protected:
+  hw::Cycles QuiescentCycles(int symbol, std::size_t burst) const override;
   void Transmit(kernel::UserApi& api, int symbol, std::size_t burst) override;
 
  private:

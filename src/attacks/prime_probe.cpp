@@ -109,11 +109,11 @@ double CacheProbeReceiver::MeasureAndPrime(kernel::UserApi& api) {
   return static_cast<double>(api.Now() - t0);
 }
 
-void CacheSetSender::Transmit(kernel::UserApi& api, int symbol, std::size_t burst) {
-  if (burst >= kMaxBursts) {
-    api.Compute(400);
-    return;
-  }
+hw::Cycles CacheSetSender::QuiescentCycles(int symbol, std::size_t burst) const {
+  return burst >= kMaxBursts || symbol == 0 || lines_per_symbol_ == 0 ? kIdleCycles : 0;
+}
+
+void CacheSetSender::Transmit(kernel::UserApi& api, int symbol, std::size_t /*burst*/) {
   // Record once per symbol, replay every burst: the trace is a pure
   // function of the symbol, so later bursts skip the address-generation
   // loop entirely.
@@ -136,16 +136,13 @@ void CacheSetSender::Transmit(kernel::UserApi& api, int symbol, std::size_t burs
   } else {
     api.ReadBatch(trace);
   }
-  if (lines == 0) {
-    api.Compute(400);  // idle symbol
-  }
+}
+
+hw::Cycles PrefetchTrainSender::QuiescentCycles(int symbol, std::size_t burst) const {
+  return burst >= kMaxBursts || symbol == 0 ? kIdleCycles : 0;
 }
 
 void PrefetchTrainSender::Transmit(kernel::UserApi& api, int symbol, std::size_t burst) {
-  if (burst >= kMaxBursts) {
-    api.Compute(400);
-    return;
-  }
   const std::size_t region = 64 * 1024;  // far apart: one stream-table slot each
   const std::size_t delta = 6 * line_size_;  // per-burst stream advance
   if (symbol == trace_symbol_ && burst == trace_burst_ + 1) {
@@ -170,9 +167,6 @@ void PrefetchTrainSender::Transmit(kernel::UserApi& api, int symbol, std::size_t
   trace_symbol_ = symbol;
   trace_burst_ = burst;
   api.ReadBatch(trace_);
-  if (symbol == 0) {
-    api.Compute(400);
-  }
 }
 
 double TlbProbeReceiver::MeasureAndPrime(kernel::UserApi& api) {
@@ -186,11 +180,11 @@ double TlbProbeReceiver::MeasureAndPrime(kernel::UserApi& api) {
   return static_cast<double>(api.Now() - t0);
 }
 
-void TlbSender::Transmit(kernel::UserApi& api, int symbol, std::size_t burst) {
-  if (burst >= kMaxBursts) {
-    api.Compute(400);
-    return;
-  }
+hw::Cycles TlbSender::QuiescentCycles(int symbol, std::size_t burst) const {
+  return burst >= kMaxBursts || symbol == 0 || pages_per_symbol_ == 0 ? kIdleCycles : 0;
+}
+
+void TlbSender::Transmit(kernel::UserApi& api, int symbol, std::size_t /*burst*/) {
   // Recorded once per symbol, replayed thereafter (see CacheSetSender).
   if (traces_.empty()) {
     traces_.resize(static_cast<std::size_t>(num_symbols()));
@@ -205,9 +199,6 @@ void TlbSender::Transmit(kernel::UserApi& api, int symbol, std::size_t burst) {
     }
   }
   api.ReadBatch(trace);
-  if (pages == 0) {
-    api.Compute(400);
-  }
 }
 
 double BtbProbeReceiver::MeasureAndPrime(kernel::UserApi& api) {
@@ -221,18 +212,15 @@ double BtbProbeReceiver::MeasureAndPrime(kernel::UserApi& api) {
   return static_cast<double>(api.Now() - t0);
 }
 
-void BtbSender::Transmit(kernel::UserApi& api, int symbol, std::size_t burst) {
-  if (burst >= kMaxBursts) {
-    api.Compute(400);
-    return;
-  }
+hw::Cycles BtbSender::QuiescentCycles(int symbol, std::size_t burst) const {
+  return burst >= kMaxBursts || symbol == 0 || branches_per_symbol_ == 0 ? kIdleCycles : 0;
+}
+
+void BtbSender::Transmit(kernel::UserApi& api, int symbol, std::size_t /*burst*/) {
   std::size_t branches = static_cast<std::size_t>(symbol) * branches_per_symbol_;
   for (std::size_t i = 0; i < branches; ++i) {
     hw::VAddr pc = alias_base_ + i * 4;
     api.Branch(pc, pc + 48, /*taken=*/true, /*conditional=*/false);
-  }
-  if (branches == 0) {
-    api.Compute(400);
   }
 }
 
@@ -257,11 +245,11 @@ double BhbProbeReceiver::MeasureAndPrime(kernel::UserApi& api) {
   return static_cast<double>(api.Now() - t0);
 }
 
-void BhbSender::Transmit(kernel::UserApi& api, int symbol, std::size_t burst) {
-  if (burst >= kMaxBursts) {
-    api.Compute(400);
-    return;
-  }
+hw::Cycles BhbSender::QuiescentCycles(int /*symbol*/, std::size_t burst) const {
+  return burst >= kMaxBursts ? kIdleCycles : 0;
+}
+
+void BhbSender::Transmit(kernel::UserApi& api, int symbol, std::size_t /*burst*/) {
   // Take or skip the conditional jump at the shared PC (with normalised
   // history): the residual PHT state is what the receiver senses.
   hw::VAddr probe_pc = pc_base_;

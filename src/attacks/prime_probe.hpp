@@ -78,6 +78,7 @@ class CacheSetSender final : public SymbolSender {
         instruction_side_(instruction_side) {}
 
  protected:
+  hw::Cycles QuiescentCycles(int symbol, std::size_t burst) const override;
   void Transmit(kernel::UserApi& api, int symbol, std::size_t burst) override;
 
  private:
@@ -106,6 +107,7 @@ class PrefetchTrainSender final : public SymbolSender {
         line_size_(line_size) {}
 
  protected:
+  hw::Cycles QuiescentCycles(int symbol, std::size_t burst) const override;
   void Transmit(kernel::UserApi& api, int symbol, std::size_t burst) override;
 
  private:
@@ -146,6 +148,7 @@ class TlbSender final : public SymbolSender {
         pages_per_symbol_(pages_per_symbol) {}
 
  protected:
+  hw::Cycles QuiescentCycles(int symbol, std::size_t burst) const override;
   void Transmit(kernel::UserApi& api, int symbol, std::size_t burst) override;
 
  private:
@@ -182,6 +185,7 @@ class BtbSender final : public SymbolSender {
         branches_per_symbol_(branches_per_symbol) {}
 
  protected:
+  hw::Cycles QuiescentCycles(int symbol, std::size_t burst) const override;
   void Transmit(kernel::UserApi& api, int symbol, std::size_t burst) override;
 
  private:
@@ -214,6 +218,7 @@ class BhbSender final : public SymbolSender {
         trains_(trains_per_burst) {}
 
  protected:
+  hw::Cycles QuiescentCycles(int symbol, std::size_t burst) const override;
   void Transmit(kernel::UserApi& api, int symbol, std::size_t burst) override;
 
  private:

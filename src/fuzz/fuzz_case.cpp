@@ -15,7 +15,7 @@ const struct {
     {Target::kSoa, "soa"},         {Target::kReplay, "replay"},
     {Target::kTaint, "taint"},     {Target::kThreads, "threads"},
     {Target::kDigest, "digest"},   {Target::kTrajectory, "trajectory"},
-    {Target::kInclusion, "inclusion"},
+    {Target::kInclusion, "inclusion"}, {Target::kQuiescent, "quiescent"},
 };
 
 void AppendHex(std::string& out, std::uint64_t v) {

@@ -24,6 +24,7 @@ enum class Target {
   kDigest,      // scoped state-digest stability and cache coherence
   kTrajectory,  // forgiving JSON parser robustness
   kInclusion,   // every private-cache line is in the LLC (or stranded)
+  kQuiescent,   // Kernel::RunUntil fast-forward vs the per-step StepCore loop
 };
 
 struct FuzzCase {

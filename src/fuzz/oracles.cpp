@@ -520,23 +520,8 @@ std::string DiffRuns(const RunOut& a, const RunOut& b, const char* label) {
   if (a.digest != b.digest) {
     return field("StateDigest", a.digest, b.digest);
   }
-  const hw::PerfCounters& p = a.counters;
-  const hw::PerfCounters& q = b.counters;
-  struct {
-    const char* name;
-    std::uint64_t x, y;
-  } counters[] = {
-      {"l1d_misses", p.l1d_misses, q.l1d_misses}, {"l1i_misses", p.l1i_misses, q.l1i_misses},
-      {"l2_misses", p.l2_misses, q.l2_misses},    {"llc_misses", p.llc_misses, q.llc_misses},
-      {"tlb_misses", p.tlb_misses, q.tlb_misses}, {"page_walks", p.page_walks, q.page_walks},
-      {"branches", p.branches, q.branches},       {"mispredicts", p.mispredicts, q.mispredicts},
-      {"reads", p.reads, q.reads},                {"writes", p.writes, q.writes},
-      {"fetches", p.fetches, q.fetches},
-  };
-  for (const auto& f : counters) {
-    if (f.x != f.y) {
-      return field(f.name, f.x, f.y);
-    }
+  if (std::string why = DiffPerfCounters(a.counters, b.counters); !why.empty()) {
+    return std::string(label) + " diverged: " + why;
   }
   for (int j = 0; j < 7; ++j) {
     for (int k = 0; k < 3; ++k) {
@@ -1389,6 +1374,37 @@ OracleResult RunTrajectory(const FuzzCase& c) {
 }
 
 // ---------------------------------------------------------------------------
+// quiescent: Kernel::RunUntil vs the per-step StepCore loop (quiescent.cpp)
+// ---------------------------------------------------------------------------
+
+// params: family, platform, placement, scenario, timeslice, Trojan delay;
+// ops: the RunFor chunks, 1-16 eighths of a timeslice each.
+OracleResult RunQuiescent(const FuzzCase& c) {
+  ScopedTaint taint_off(false);
+  QuiescentSpec spec;
+  spec.family = static_cast<QuiescentFamily>(Pick(c, 0, kQuiescentFamilies));
+  spec.sabre = Pick(c, 1, 2) == 1;
+  spec.same_core = Pick(c, 2, 2) == 0;
+  static constexpr core::Scenario kScenarios[] = {
+      core::Scenario::kRaw, core::Scenario::kProtected, core::Scenario::kFullFlush,
+      core::Scenario::kColourReady};
+  spec.scenario = kScenarios[Pick(c, 3, 4)];
+  static constexpr double kTimeslices[] = {0.05, 0.1, 0.25};
+  spec.timeslice_ms = kTimeslices[Pick(c, 4, 3)];
+  static constexpr double kDelays[] = {0.05, 0.3, 0.7, 1.3};
+  spec.irq_delay_ticks = kDelays[Pick(c, 5, 4)];
+  spec.seed = c.seed;
+  if (!c.ops.empty()) {
+    spec.chunks.clear();
+    for (std::uint64_t op : c.ops) {
+      spec.chunks.push_back(1 + op % 16);
+    }
+  }
+  const QuiescentOutcome outcome = CompareQuiescent(spec);
+  return outcome.diff.empty() ? OracleResult{} : OracleResult::Violation(outcome.diff);
+}
+
+// ---------------------------------------------------------------------------
 // Generation
 // ---------------------------------------------------------------------------
 
@@ -1465,6 +1481,17 @@ void GenerateTaint(Rng& rng, FuzzCase& c) {
 void GenerateThreads(Rng& rng, FuzzCase& c) {
   for (int i = 0; i < 8; ++i) {
     c.params.push_back(rng.Next());
+  }
+}
+
+void GenerateQuiescent(Rng& rng, FuzzCase& c) {
+  for (int i = 0; i < 6; ++i) {
+    c.params.push_back(rng.Next());
+  }
+  // 2-12 chunks: a few timeslices of at most 0.25 ms each.
+  const std::size_t n = 2 + rng.Below(11);
+  for (std::size_t i = 0; i < n; ++i) {
+    c.ops.push_back(rng.Next());
   }
 }
 
@@ -1617,6 +1644,8 @@ OracleResult RunCase(const FuzzCase& c) {
         return RunTrajectory(c);
       case Target::kInclusion:
         return RunInclusion(c);
+      case Target::kQuiescent:
+        return RunQuiescent(c);
     }
   } catch (const std::exception& e) {
     return OracleResult::Violation(std::string("unhandled exception: ") + e.what());
@@ -1652,8 +1681,31 @@ FuzzCase GenerateCase(Target target, std::uint64_t case_seed) {
       GenerateMachineCase(rng, c, 20, 61);
       c.params.push_back(rng.Next());  // core count
       break;
+    case Target::kQuiescent:
+      GenerateQuiescent(rng, c);
+      break;
   }
   return c;
+}
+
+std::string DiffPerfCounters(const hw::PerfCounters& p, const hw::PerfCounters& q) {
+  const struct {
+    const char* name;
+    std::uint64_t x, y;
+  } counters[] = {
+      {"l1d_misses", p.l1d_misses, q.l1d_misses}, {"l1i_misses", p.l1i_misses, q.l1i_misses},
+      {"l2_misses", p.l2_misses, q.l2_misses},    {"llc_misses", p.llc_misses, q.llc_misses},
+      {"tlb_misses", p.tlb_misses, q.tlb_misses}, {"page_walks", p.page_walks, q.page_walks},
+      {"branches", p.branches, q.branches},       {"mispredicts", p.mispredicts, q.mispredicts},
+      {"reads", p.reads, q.reads},                {"writes", p.writes, q.writes},
+      {"fetches", p.fetches, q.fetches},
+  };
+  for (const auto& f : counters) {
+    if (f.x != f.y) {
+      return std::string(f.name) + " " + U(f.x) + " vs " + U(f.y);
+    }
+  }
+  return "";
 }
 
 }  // namespace tp::fuzz

@@ -28,14 +28,23 @@
 //                 interleaved with every private and whole-cache flush
 //                 (with and without the LLC): after every step the
 //                 InclusionChecker property below holds.
+//   quiescent   — a random channel pair (family, platform, placement,
+//                 scenario, timeslice, RunFor chunks) driven by
+//                 Kernel::RunUntil and by the per-step StepCore loop must
+//                 agree on observations, per-core cycles and perf counters,
+//                 domain switches and StateDigest (CompareQuiescent below).
 #ifndef TP_FUZZ_ORACLES_HPP_
 #define TP_FUZZ_ORACLES_HPP_
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "core/time_protection.hpp"
 #include "fuzz/fuzz_case.hpp"
 #include "hw/machine.hpp"
+#include "hw/perf_counter.hpp"
+#include "kernel/kernel.hpp"
 
 namespace tp::fuzz {
 
@@ -86,6 +95,54 @@ class InclusionChecker {
 // Deterministic case generation: the same (target, case_seed) always yields
 // the same case, on any host.
 FuzzCase GenerateCase(Target target, std::uint64_t case_seed);
+
+// "" when the counters agree, else "<field> <a> vs <b>" for the first field
+// that differs.
+std::string DiffPerfCounters(const hw::PerfCounters& a, const hw::PerfCounters& b);
+
+// --- quiescent: Kernel::RunUntil vs the per-step StepCore loop ------------
+
+// One channel family per SymbolSender/SliceReceiver pair of src/attacks.
+enum class QuiescentFamily {
+  kL1D,           // CacheSetSender (writes) + CacheProbeReceiver
+  kL1I,           // CacheSetSender (fetches) + CacheProbeReceiver
+  kL2,            // PrefetchTrainSender + CacheProbeReceiver (Sabre: its LLC)
+  kTlb,           // TlbSender + TlbProbeReceiver
+  kBtb,           // BtbSender + BtbProbeReceiver
+  kBhb,           // BhbSender + BhbProbeReceiver
+  kKernel,        // KernelChannelSender + KernelProbeReceiver
+  kFlushOffline,  // DirtyLineSender + FlushTimingReceiver (offline time)
+  kFlushOnline,   // DirtyLineSender + FlushTimingReceiver (online time)
+  kInterrupt,     // TimerTrojan + InterruptSpy
+};
+inline constexpr std::size_t kQuiescentFamilies = 10;
+const char* QuiescentFamilyName(QuiescentFamily family);
+
+struct QuiescentSpec {
+  QuiescentFamily family = QuiescentFamily::kL1D;
+  bool sabre = false;      // Haswell (x86) or Sabre (Arm)
+  bool same_core = true;   // false: sender on core 0, receiver on core 1
+  core::Scenario scenario = core::Scenario::kRaw;
+  double timeslice_ms = 0.1;
+  std::vector<std::uint64_t> chunks = {16};  // RunFor lengths, in eighths of a slice
+  double irq_delay_ticks = 1.3;              // interrupt family: Trojan timer delay
+  std::uint64_t seed = 1;
+};
+
+struct QuiescentOutcome {
+  std::string diff;  // "" when the two runs agree
+  // Steps of each program that the RunUntil run fast-forwarded.
+  std::uint64_t sender_fast_forwarded = 0;
+  std::uint64_t receiver_fast_forwarded = 0;
+};
+
+// Builds the channel pair twice and runs the chunks once through
+// Kernel::RunUntil and once through StepwiseRunUntil, then compares.
+QuiescentOutcome CompareQuiescent(const QuiescentSpec& spec);
+
+// The per-step reference for Kernel::RunUntil: StepCore on the lowest-clock
+// core, ties to the lowest index, until every clock has reached `until`.
+void StepwiseRunUntil(kernel::Kernel& kernel, hw::Cycles until);
 
 }  // namespace tp::fuzz
 

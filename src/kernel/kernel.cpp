@@ -4,6 +4,7 @@
 #include "kernel/kernel.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <stdexcept>
 
@@ -106,7 +107,23 @@ Kernel::Kernel(hw::Machine& machine, const KernelConfig& config)
   }
 }
 
-Kernel::~Kernel() = default;
+namespace {
+std::atomic<std::uint64_t> g_step_calls{0};
+std::atomic<std::uint64_t> g_fast_forward_steps{0};
+std::atomic<std::uint64_t> g_fast_forward_batches{0};
+}  // namespace
+
+StepTally StepTallySnapshot() {
+  return StepTally{g_step_calls.load(std::memory_order_relaxed),
+                   g_fast_forward_steps.load(std::memory_order_relaxed),
+                   g_fast_forward_batches.load(std::memory_order_relaxed)};
+}
+
+Kernel::~Kernel() {
+  g_step_calls.fetch_add(steps_.step_calls, std::memory_order_relaxed);
+  g_fast_forward_steps.fetch_add(steps_.fast_forward_steps, std::memory_order_relaxed);
+  g_fast_forward_batches.fetch_add(steps_.fast_forward_batches, std::memory_order_relaxed);
+}
 
 void Kernel::RegisterDomainColours(DomainId domain, const std::set<std::size_t>& colours) {
   if (checker_ != nullptr) {
@@ -338,12 +355,15 @@ void Kernel::UnmaskForImage(hw::CoreId core, ObjId image_id) {
 void Kernel::ManualL1DFlush(hw::CoreId core) {
   // Load one word per line of an L1-D-sized buffer: with LRU replacement
   // this displaces (and writes back) the entire previous L1-D content.
-  hw::Core& cpu = machine_.core(core);
+  // One live batch, as in TouchData: the same loads in the same order as
+  // a per-line Access loop.
   const hw::CacheGeometry& g = machine_.config().l1d;
-  hw::PAddr buffer = flush_buffer_base_ + core * 2 * g.size_bytes;
+  hw::PAddr buffer = ManualFlushBuffer(core);
+  line_run_.clear();
   for (std::size_t off = 0; off < g.size_bytes; off += g.line_size) {
-    cpu.Access(hw::KernelVaddrFor(buffer + off), hw::AccessKind::kRead);
+    line_run_.push_back(hw::KernelVaddrFor(buffer + off));
   }
+  machine_.core(core).AccessBatchLive(line_run_, hw::AccessKind::kRead);
 }
 
 void Kernel::ManualL1IFlush(hw::CoreId core) {
@@ -630,7 +650,10 @@ void Kernel::KickSchedule(hw::CoreId core) {
   cpu.preemption_timer().SetDeadline(cpu.now());
 }
 
-void Kernel::StepCore(hw::CoreId core) {
+void Kernel::StepCore(hw::CoreId core) { Step(core, /*skip_bound=*/0); }
+
+void Kernel::Step(hw::CoreId core, hw::Cycles skip_bound) {
+  ++steps_.step_calls;
   hw::Core& cpu = machine_.core(core);
   machine_.PollDeviceTimers(cpu.now());
 
@@ -653,6 +676,15 @@ void Kernel::StepCore(hw::CoreId core) {
       RescheduleCore(core);
       return;
     }
+    if (skip_bound > cpu.now() + kIdleStepCycles) {
+      const std::size_t steps =
+          QuiescentSteps(cpu.now(), QuiescentBound(core, skip_bound), kIdleStepCycles);
+      if (steps != 0) {
+        cpu.AdvanceCycles(steps * kIdleStepCycles);
+        NoteFastForward(steps);
+        return;
+      }
+    }
     cpu.AdvanceCycles(kIdleStepCycles);
     return;
   }
@@ -660,7 +692,15 @@ void Kernel::StepCore(hw::CoreId core) {
     RescheduleCore(core);
     return;
   }
-  t.program->Step(*apis_[core]);
+  const std::size_t steps =
+      skip_bound > cpu.now()
+          ? t.program->FastForward(*apis_[core], QuiescentBound(core, skip_bound))
+          : 0;
+  if (steps != 0) {
+    NoteFastForward(steps);
+  } else {
+    t.program->Step(*apis_[core]);
+  }
   if (cs.cur_tcb != kNullObj) {
     TcbObj& after = objects_.As<TcbObj>(cs.cur_tcb);
     if (!after.is_idle && after.program != nullptr && after.program->Done() &&
@@ -671,20 +711,62 @@ void Kernel::StepCore(hw::CoreId core) {
   }
 }
 
+hw::Cycles Kernel::QuiescentBound(hw::CoreId core, hw::Cycles skip_bound) {
+  // Step reaches the thread only when no timer has expired: every armed
+  // deadline is still ahead, and a step starting at or after one would
+  // take the tick or raise the IRQ instead (Expired is now >= deadline).
+  // Any core's step polls the device timers.
+  hw::Cycles bound = skip_bound;
+  const hw::OneShotTimer& preemption = machine_.core(core).preemption_timer();
+  if (preemption.armed()) {
+    bound = std::min(bound, preemption.deadline());
+  }
+  for (std::size_t i = 0; i < machine_.num_device_timers(); ++i) {
+    const hw::OneShotTimer& timer = machine_.device_timer(i);
+    if (timer.armed()) {
+      bound = std::min(bound, timer.deadline());
+    }
+  }
+  return bound;
+}
+
+void Kernel::NoteFastForward(std::size_t steps) {
+  // The call counted as a step; it stood for `steps` of them.
+  --steps_.step_calls;
+  steps_.fast_forward_steps += steps;
+  ++steps_.fast_forward_batches;
+}
+
 void Kernel::RunUntil(hw::Cycles until) {
+  constexpr hw::Cycles kNever = ~hw::Cycles{0};
   while (true) {
+    // The lowest clock steps next, ties to the lowest index. `turn_ends`
+    // is the first start time at which another core would step first: the
+    // second-lowest clock, plus one if the core holding it has the higher
+    // index (it loses the tie). Until then no other core's step can arm a
+    // timer, raise an IRQ or make a thread runnable.
     std::size_t min_core = 0;
-    hw::Cycles min_now = ~hw::Cycles{0};
+    hw::Cycles min_now = kNever;
+    std::size_t next_core = 0;
+    hw::Cycles next_now = kNever;
     for (std::size_t c = 0; c < machine_.num_cores(); ++c) {
-      if (machine_.core(c).now() < min_now) {
-        min_now = machine_.core(c).now();
+      const hw::Cycles now = machine_.core(c).now();
+      if (now < min_now) {
+        next_now = min_now;
+        next_core = min_core;
+        min_now = now;
         min_core = c;
+      } else if (now < next_now) {
+        next_now = now;
+        next_core = c;
       }
     }
     if (min_now >= until) {
       break;
     }
-    StepCore(static_cast<hw::CoreId>(min_core));
+    const hw::Cycles turn_ends =
+        next_now + (next_now != kNever && next_core > min_core ? 1 : 0);
+    Step(static_cast<hw::CoreId>(min_core), std::min(until, turn_ends));
   }
 }
 

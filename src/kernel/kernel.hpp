@@ -109,6 +109,17 @@ struct TcbSettings {
 class UserApi;
 class ContractChecker;
 
+// Process-wide tally of kernel stepping, accumulated from each kernel when
+// it is destroyed (the way hw::SimTally is fed by cores). An
+// implementation-level count for profiles, reported and never gated: a
+// faster stepping scheme may change it freely.
+struct StepTally {
+  std::uint64_t step_calls = 0;            // steps run one at a time (StepCore)
+  std::uint64_t fast_forward_steps = 0;    // steps RunUntil skipped instead
+  std::uint64_t fast_forward_batches = 0;  // clock advances that skipped them
+};
+StepTally StepTallySnapshot();
+
 class Kernel {
  public:
   Kernel(hw::Machine& machine, const KernelConfig& config);
@@ -191,10 +202,12 @@ class Kernel {
   void KickSchedule(hw::CoreId core);
 
   // One unit of progress on `core`: deliver timer/IRQs, then run one step of
-  // the current thread (or idle).
+  // the current thread (or idle). The per-step reference semantics.
   void StepCore(hw::CoreId core);
   // Run all cores, interleaved in cycle order, until every core's clock
-  // passed `until`.
+  // passed `until`. Equal to calling StepCore on the lowest-clock core
+  // (ties to the lowest index) until then, except that runs of quiescent
+  // steps are advanced in one clock step (see Step).
   void RunUntil(hw::Cycles until);
   void RunFor(hw::Cycles duration);
 
@@ -216,6 +229,10 @@ class Kernel {
   // maximal full flush on `core`, returning the cycles consumed.
   hw::Cycles MeasureOnCoreFlush(hw::CoreId core);
   hw::Cycles MeasureFullFlush(hw::CoreId core);
+  // Physical base of `core`'s x86 manual L1-D flush buffer (L1-D sized).
+  hw::PAddr ManualFlushBuffer(hw::CoreId core) const {
+    return flush_buffer_base_ + core * 2 * machine_.config().l1d.size_bytes;
+  }
 
   // Kernel text layout: the (offset, length) window in cache lines that a
   // kernel operation's code occupies. Public because a realistic attacker
@@ -267,6 +284,16 @@ class Kernel {
   void SyscallExit(hw::CoreId core);
 
   // --- scheduling internals ------------------------------------------------
+  // StepCore, except that when the step would be quiescent (the running
+  // program's FastForward takes it, or the idle thread has nothing to
+  // schedule) every back-to-back quiescent step that starts before
+  // QuiescentBound(core, skip_bound) runs as one clock advance. RunUntil
+  // passes the end of the core's turn (capped at `until`); StepCore
+  // passes 0, which never skips.
+  void Step(hw::CoreId core, hw::Cycles skip_bound);
+  // `skip_bound` capped by every armed timer deadline a step could reach.
+  hw::Cycles QuiescentBound(hw::CoreId core, hw::Cycles skip_bound);
+  void NoteFastForward(std::size_t steps);
   void HandleTick(hw::CoreId core);
   void HandleDeviceIrq(hw::CoreId core, hw::IrqLine line);
   // The bold steps of §4.3 when the kernel image changes. The preemption
@@ -323,9 +350,10 @@ class Kernel {
   hw::Asid next_asid_ = 1;
   KernelImageId next_image_id_ = 1;
   std::uint64_t domain_switches_ = 0;
+  StepTally steps_;  // fed into the process-wide tally at destruction
   std::unordered_map<DomainId, ObjId> domain_image_;
   SharedTouchProbe shared_probe_;
-  std::vector<hw::VAddr> line_run_;  // ExecText/TouchData batch scratch
+  std::vector<hw::VAddr> line_run_;  // ExecText/TouchData/ManualL1DFlush batch scratch
   std::vector<std::unique_ptr<UserProgram>> kernel_owned_programs_;  // idle threads
   std::vector<std::unique_ptr<UserApi>> apis_;  // one per core
   std::unique_ptr<ContractChecker> checker_;    // taint mode only

@@ -7,6 +7,7 @@
 #ifndef TP_KERNEL_OBJECTS_HPP_
 #define TP_KERNEL_OBJECTS_HPP_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -32,7 +33,29 @@ class UserProgram {
   virtual ~UserProgram() = default;
   virtual void Step(UserApi& api) = 0;
   virtual bool Done() const { return false; }
+
+  // Quiescence contract (Kernel::RunUntil's fast path). A step is
+  // quiescent when it only advances the clock: no memory access, branch
+  // or syscall. If the next Step would be quiescent, FastForward runs the
+  // back-to-back quiescent steps that start before `bound` in one clock
+  // advance, leaves the program's bookkeeping exactly as that many Step
+  // calls would, and returns their number; it returns 0 (and changes
+  // nothing) when the next step is not quiescent or fewer than two fit.
+  // A quiescent step must stay quiescent, at the same cost, when repeated
+  // until the program's own state changes, and must leave Done() false.
+  virtual std::size_t FastForward(UserApi& /*api*/, hw::Cycles /*bound*/) { return 0; }
 };
+
+// Number of back-to-back steps of `cycles` each, the first starting at
+// `now`, that start before `bound`; 0 when `cycles` is 0 or fewer than two
+// fit (one step gains nothing over stepping it).
+inline std::size_t QuiescentSteps(hw::Cycles now, hw::Cycles bound, hw::Cycles cycles) {
+  if (cycles == 0 || bound <= now || bound - now <= cycles) {
+    return 0;  // the second step would not start before `bound`
+  }
+  const hw::Cycles steps = (bound - now + cycles - 1) / cycles;
+  return steps >= 2 ? static_cast<std::size_t>(steps) : 0;
+}
 
 struct UntypedObj {
   hw::PAddr base = 0;
