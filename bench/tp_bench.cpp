@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "attacks/setup_cache.hpp"
 #include "faults/fault.hpp"
 #include "hw/core.hpp"
 #include "kernel/kernel.hpp"
@@ -69,6 +70,9 @@ struct ProfileRow {
   // Kernel stepping (implementation-level, reported only): StepCore calls
   // and the steps RunUntil fast-forwarded instead, in how many batches.
   tp::kernel::StepTally steps;
+  // Experiment set-ups built from scratch and cloned from a held one
+  // (attacks::SetupSlot; implementation-level, reported only).
+  tp::attacks::SetupTally setups;
 };
 
 void PrintProfile(const std::vector<ProfileRow>& rows, std::size_t threads) {
@@ -79,9 +83,10 @@ void PrintProfile(const std::vector<ProfileRow>& rows, std::size_t threads) {
   bool any_adaptive = false;
   std::printf("\n--- tp_bench --profile: host simulation throughput (%zu thread%s) ---\n",
               threads, threads == 1 ? "" : "s");
-  std::printf("%-28s %16s %14s %12s %14s %12s %12s %8s %14s %14s %12s\n", "channel",
-              "sim accesses", "sim branches", "wall s", "accesses/s", "rounds run", "budget",
-              "saved", "step calls", "ff steps", "ff batches");
+  std::printf("%-28s %16s %14s %12s %14s %12s %12s %8s %14s %14s %12s %14s %14s\n",
+              "channel", "sim accesses", "sim branches", "wall s", "accesses/s", "rounds run",
+              "budget", "saved", "step calls", "ff steps", "ff batches", "setups built",
+              "setups cloned");
   auto saved_pct = [](std::uint64_t run, std::uint64_t budget) -> std::string {
     if (budget == 0) {
       return "-";
@@ -94,15 +99,19 @@ void PrintProfile(const std::vector<ProfileRow>& rows, std::size_t threads) {
   for (const ProfileRow& row : rows) {
     double secs = static_cast<double>(row.wall_ns) / 1e9;
     double rate = secs > 0.0 ? static_cast<double>(row.accesses) / secs : 0.0;
-    std::printf("%-28s %16llu %14llu %12.3f %14.3g %12llu %12llu %8s %14llu %14llu %12llu\n",
-                row.channel.c_str(), static_cast<unsigned long long>(row.accesses),
-                static_cast<unsigned long long>(row.branches), secs, rate,
-                static_cast<unsigned long long>(row.rounds_run),
-                static_cast<unsigned long long>(row.rounds_budget),
-                row.adaptive ? saved_pct(row.rounds_run, row.rounds_budget).c_str() : "-",
-                static_cast<unsigned long long>(row.steps.step_calls),
-                static_cast<unsigned long long>(row.steps.fast_forward_steps),
-                static_cast<unsigned long long>(row.steps.fast_forward_batches));
+    std::printf(
+        "%-28s %16llu %14llu %12.3f %14.3g %12llu %12llu %8s %14llu %14llu %12llu %14llu "
+        "%14llu\n",
+        row.channel.c_str(), static_cast<unsigned long long>(row.accesses),
+        static_cast<unsigned long long>(row.branches), secs, rate,
+        static_cast<unsigned long long>(row.rounds_run),
+        static_cast<unsigned long long>(row.rounds_budget),
+        row.adaptive ? saved_pct(row.rounds_run, row.rounds_budget).c_str() : "-",
+        static_cast<unsigned long long>(row.steps.step_calls),
+        static_cast<unsigned long long>(row.steps.fast_forward_steps),
+        static_cast<unsigned long long>(row.steps.fast_forward_batches),
+        static_cast<unsigned long long>(row.setups.built),
+        static_cast<unsigned long long>(row.setups.cloned));
     total_accesses += row.accesses;
     total_wall += row.wall_ns;
     total_run += row.rounds_run;
@@ -422,6 +431,7 @@ int main(int argc, char** argv) {
     // channel's simulated work.
     tp::hw::SimTally before = tp::hw::SimTallySnapshot();
     tp::kernel::StepTally steps_before = tp::kernel::StepTallySnapshot();
+    tp::attacks::SetupTally setups_before = tp::attacks::SetupTallySnapshot();
     std::uint64_t t0 = tp::bench::Recorder::NowNs();
     std::uint64_t rounds_run = 0;
     std::uint64_t rounds_budget = 0;
@@ -467,13 +477,16 @@ int main(int argc, char** argv) {
     if (profile) {
       tp::hw::SimTally after = tp::hw::SimTallySnapshot();
       tp::kernel::StepTally steps_after = tp::kernel::StepTallySnapshot();
+      tp::attacks::SetupTally setups_after = tp::attacks::SetupTallySnapshot();
       profile_rows.push_back(ProfileRow{
           spec->name, after.accesses - before.accesses, after.branches - before.branches,
           tp::bench::Recorder::NowNs() - t0, rounds_run, rounds_budget, adaptive,
           tp::kernel::StepTally{
               steps_after.step_calls - steps_before.step_calls,
               steps_after.fast_forward_steps - steps_before.fast_forward_steps,
-              steps_after.fast_forward_batches - steps_before.fast_forward_batches}});
+              steps_after.fast_forward_batches - steps_before.fast_forward_batches},
+          tp::attacks::SetupTally{setups_after.built - setups_before.built,
+                                  setups_after.cloned - setups_before.cloned}});
     }
   }
   if (profile) {

@@ -15,6 +15,34 @@ void SetGlobalConfigOverride(std::function<void(kernel::KernelConfig&)> hook) {
   g_config_override = std::move(hook);
 }
 
+bool GlobalConfigOverrideSet() { return static_cast<bool>(g_config_override); }
+
+Experiment Experiment::Clone() const {
+  Experiment copy;
+  copy.machine_config = machine_config;
+  copy.timeslice_ms = timeslice_ms;
+  copy.machine = machine->Clone();
+  kernel::CSpaceCopies cspaces;
+  copy.kernel = kernel->Clone(*copy.machine, cspaces);
+  copy.manager = manager->Clone(*copy.kernel, cspaces);
+  const auto& from = manager->domains();
+  const auto& to = copy.manager->domains();
+  for (std::size_t i = 0; i < from.size(); ++i) {
+    if (from[i].get() == sender_domain) {
+      copy.sender_domain = to[i].get();
+    }
+    if (from[i].get() == receiver_domain) {
+      copy.receiver_domain = to[i].get();
+    }
+  }
+  return copy;
+}
+
+void Experiment::DetachTally() {
+  machine->DetachTally();
+  kernel->DetachTally();
+}
+
 void SymbolSender::Step(kernel::UserApi& api) {
   hw::Cycles now = api.Now();
   if (sync_.NewSlice(now) || current_symbol_ < 0) {

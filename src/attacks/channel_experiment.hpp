@@ -146,6 +146,16 @@ struct Experiment {
   hw::Cycles SliceGapThreshold() const {
     return machine->MicrosToCycles(timeslice_ms * 1000.0) / 8;
   }
+
+  // Deep copy of the whole simulated system: hw::Machine::Clone,
+  // kernel::Kernel::Clone and core::DomainManager::Clone, with the domain
+  // pointers naming the copy's domains. Running the copy gives exactly
+  // what running this experiment would; neither changes the other.
+  Experiment Clone() const;
+  // Keeps this experiment's simulated work out of the process-wide
+  // SimTally and StepTally: for a held set-up snapshot, whose clones each
+  // tally the set-up as a fresh build would.
+  void DetachTally();
 };
 
 struct ExperimentOptions {
@@ -173,6 +183,7 @@ Experiment MakeExperiment(const hw::MachineConfig& machine_config, core::Scenari
 // sweep they cannot otherwise parameterise. Not thread-safe against
 // concurrent MakeExperiment — set it before fanning out.
 void SetGlobalConfigOverride(std::function<void(kernel::KernelConfig&)> hook);
+bool GlobalConfigOverrideSet();
 
 // Runs the kernel until the receiver has `rounds` samples (or a generous
 // cycle budget runs out) and pairs them with the sender's symbols.

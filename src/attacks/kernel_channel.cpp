@@ -27,13 +27,14 @@ void KernelChannelSender::Transmit(kernel::UserApi& api, int symbol, std::size_t
 
 double KernelProbeReceiver::MeasureAndPrime(kernel::UserApi& api) {
   std::uint64_t misses0 = api.Counters().llc_misses;
-  for (hw::VAddr va : eviction_set_.lines()) {
-    api.Read(va);
-  }
+  api.ReadBatch(eviction_set_.lines());
   return static_cast<double>(api.Counters().llc_misses - misses0);
 }
 
-mi::Observations RunKernelChannel(Experiment& exp, std::size_t rounds, std::uint64_t seed) {
+namespace {
+
+// The receiver's eviction set over the boot kernel's syscall text.
+EvictionSet BuildKernelEvictionSet(Experiment& exp) {
   kernel::Kernel& k = *exp.kernel;
   const kernel::KernelImageObj& boot =
       k.objects().As<kernel::KernelImageObj>(k.boot_image_id());
@@ -61,10 +62,12 @@ mi::Observations RunKernelChannel(Experiment& exp, std::size_t rounds, std::uint
   std::size_t pages = g.associativity * g.num_slices * bases * 5 / 4;
   core::MappedBuffer buffer =
       exp.manager->AllocBuffer(*exp.receiver_domain, pages * hw::kPageSize);
-  EvictionSet es = EvictionSet::BuildSliced(llc, buffer, target_sets, g.associativity);
+  return EvictionSet::BuildSliced(llc, buffer, target_sets, g.associativity);
+}
 
-  hw::Cycles gap = exp.SliceGapThreshold();
-  KernelProbeReceiver receiver(std::move(es), gap);
+mi::Observations RunOn(Experiment& exp, EvictionSet eviction_set, hw::Cycles gap,
+                       std::size_t rounds, std::uint64_t seed) {
+  KernelProbeReceiver receiver(std::move(eviction_set), gap);
 
   // Sender-side objects, allocated from the sender's coloured pool.
   kernel::CapIdx notif_mgr = exp.manager->CreateNotification(*exp.sender_domain);
@@ -80,6 +83,24 @@ mi::Observations RunKernelChannel(Experiment& exp, std::size_t rounds, std::uint
   exp.manager->StartThread(*exp.receiver_domain, &receiver, 120, 0);
 
   return CollectObservations(exp, sender, receiver, rounds);
+}
+
+}  // namespace
+
+KernelChannelSetup SetUpKernelChannel(Experiment exp) {
+  EvictionSet es = BuildKernelEvictionSet(exp);
+  const hw::Cycles gap = exp.SliceGapThreshold();
+  return KernelChannelSetup{std::move(exp), std::move(es), gap};
+}
+
+mi::Observations RunKernelChannel(KernelChannelSetup& setup, std::size_t rounds,
+                                  std::uint64_t seed) {
+  return RunOn(setup.exp, setup.eviction_set, setup.slice_gap, rounds, seed);
+}
+
+mi::Observations RunKernelChannel(Experiment& exp, std::size_t rounds, std::uint64_t seed) {
+  EvictionSet es = BuildKernelEvictionSet(exp);
+  return RunOn(exp, std::move(es), exp.SliceGapThreshold(), rounds, seed);
 }
 
 }  // namespace tp::attacks

@@ -48,6 +48,14 @@ ColourPool::ColourPool(kernel::Kernel& kernel, CSpacePtr cspace, kernel::CapIdx 
   fault_frame_ = faults::FaultSite::For("colour.frame");
 }
 
+ColourPool::ColourPool(const ColourPool& other, kernel::Kernel& kernel, CSpacePtr cspace)
+    : kernel_(kernel),
+      cspace_(std::move(cspace)),
+      untyped_(other.untyped_),
+      buckets_(other.buckets_),
+      fault_frame_(other.fault_frame_),
+      request_sets_(other.request_sets_) {}
+
 std::size_t ColourPool::Refill(std::size_t frames) {
   std::size_t got = 0;
   for (std::size_t i = 0; i < frames; ++i) {

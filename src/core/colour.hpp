@@ -39,6 +39,8 @@ std::vector<std::set<std::size_t>> SplitColours(const hw::MachineConfig& config,
 class ColourPool {
  public:
   ColourPool(kernel::Kernel& kernel, CSpacePtr cspace, kernel::CapIdx untyped);
+  // Copy of `other` serving `kernel` (a clone of other's) from `cspace`.
+  ColourPool(const ColourPool& other, kernel::Kernel& kernel, CSpacePtr cspace);
 
   // Retypes `frames` more frames into the pool. Returns frames obtained.
   std::size_t Refill(std::size_t frames);

@@ -14,6 +14,33 @@ DomainManager::DomainManager(kernel::Kernel& kernel)
       untyped_(kernel.boot_info().untyped),
       pool_(kernel, cspace_, untyped_) {}
 
+DomainManager::DomainManager(const DomainManager& other, kernel::Kernel& kernel,
+                             kernel::CSpaceCopies& cspaces)
+    : kernel_(kernel),
+      cspace_(kernel::CopyCSpace(other.cspace_, cspaces)),
+      untyped_(other.untyped_),
+      pool_(other.pool_, kernel, cspace_),
+      table_colours_(other.table_colours_) {
+  for (const std::unique_ptr<Domain>& domain : other.domains_) {
+    domains_.push_back(std::make_unique<Domain>(*domain));
+    domains_.back()->cspace = kernel::CopyCSpace(domain->cspace, cspaces);
+  }
+  kernel_.RebindFrameSources(&other, this);
+}
+
+std::unique_ptr<DomainManager> DomainManager::Clone(kernel::Kernel& kernel,
+                                                    kernel::CSpaceCopies& cspaces) const {
+  return std::unique_ptr<DomainManager>(new DomainManager(*this, kernel, cspaces));
+}
+
+std::optional<hw::PAddr> DomainManager::TakeTableFrame(std::uint64_t key) {
+  std::optional<kernel::CapIdx> f = pool_.TakeFrame(table_colours_.at(key));
+  if (!f.has_value()) {
+    return std::nullopt;
+  }
+  return pool_.FrameBase(*f);
+}
+
 kernel::CapIdx DomainManager::CloneKernelFromPool(const std::set<std::size_t>& colours,
                                                   kernel::CapIdx source_image) {
   kernel::CapIdx dest = 0;
@@ -108,15 +135,14 @@ kernel::CapIdx DomainManager::MakeColouredVSpace(const std::set<std::size_t>& co
   if (!r.ok()) {
     throw std::runtime_error("DomainManager: cannot retype VSpace");
   }
-  std::set<std::size_t> cs = colours;
-  kernel_.SetVSpaceAllocator(*cspace_, vspace,
-                             [this, cs]() -> std::optional<hw::PAddr> {
-                               std::optional<kernel::CapIdx> f = pool_.TakeFrame(cs);
-                               if (!f.has_value()) {
-                                 return std::nullopt;
-                               }
-                               return pool_.FrameBase(*f);
-                             });
+  std::size_t key = 0;
+  while (key < table_colours_.size() && table_colours_[key] != colours) {
+    ++key;
+  }
+  if (key == table_colours_.size()) {
+    table_colours_.push_back(colours);
+  }
+  kernel_.SetVSpaceAllocator(*cspace_, vspace, kernel::FrameAllocator{this, key});
   return vspace;
 }
 

@@ -49,9 +49,19 @@ struct Domain {
   hw::VAddr next_vaddr = 0x10000000;
 };
 
-class DomainManager {
+class DomainManager final : private kernel::FrameSource {
  public:
   explicit DomainManager(kernel::Kernel& kernel);
+
+  DomainManager(const DomainManager&) = delete;
+  DomainManager& operator=(const DomainManager&) = delete;
+
+  // Copy of this manager for `kernel`, a kernel::Kernel::Clone of this
+  // manager's kernel made with the same `cspaces`: domains, colour pools
+  // and cspaces are copied (shared cspaces stay shared), and the clone's
+  // vspaces draw their table frames from the copy.
+  std::unique_ptr<DomainManager> Clone(kernel::Kernel& kernel,
+                                       kernel::CSpaceCopies& cspaces) const;
 
   // Creates a security domain: clones a kernel from the domain's coloured
   // pool when the kernel is clone-capable, binds the requested device-timer
@@ -96,6 +106,12 @@ class DomainManager {
   const std::vector<std::unique_ptr<Domain>>& domains() const { return domains_; }
 
  private:
+  DomainManager(const DomainManager& other, kernel::Kernel& kernel,
+                kernel::CSpaceCopies& cspaces);
+
+  // kernel::FrameSource: a table frame in the colours table_colours_[key].
+  std::optional<hw::PAddr> TakeTableFrame(std::uint64_t key) override;
+
   kernel::CapIdx CloneKernelFromPool(const std::set<std::size_t>& colours,
                                      kernel::CapIdx source_image);
 
@@ -109,6 +125,8 @@ class DomainManager {
   kernel::CapIdx untyped_;
   ColourPool pool_;
   std::vector<std::unique_ptr<Domain>> domains_;
+  // The colour sets vspace table frames are drawn from (TakeTableFrame).
+  std::vector<std::set<std::size_t>> table_colours_;
 };
 
 }  // namespace tp::core

@@ -16,6 +16,7 @@ const struct {
     {Target::kTaint, "taint"},     {Target::kThreads, "threads"},
     {Target::kDigest, "digest"},   {Target::kTrajectory, "trajectory"},
     {Target::kInclusion, "inclusion"}, {Target::kQuiescent, "quiescent"},
+    {Target::kClone, "clone"},
 };
 
 void AppendHex(std::string& out, std::uint64_t v) {

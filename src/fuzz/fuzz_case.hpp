@@ -25,6 +25,7 @@ enum class Target {
   kTrajectory,  // forgiving JSON parser robustness
   kInclusion,   // every private-cache line is in the LLC (or stranded)
   kQuiescent,   // Kernel::RunUntil fast-forward vs the per-step StepCore loop
+  kClone,       // Experiment::Clone mid-set-up vs a build never cloned
 };
 
 struct FuzzCase {

@@ -1405,6 +1405,36 @@ OracleResult RunQuiescent(const FuzzCase& c) {
 }
 
 // ---------------------------------------------------------------------------
+// clone: Experiment::Clone vs a build never cloned (clone.cpp)
+// ---------------------------------------------------------------------------
+
+// params: platform, placement, scenario, timeslice, colour fraction, clone
+// point; ops: the set-up ops.
+OracleResult RunClone(const FuzzCase& c) {
+  ScopedTaint taint_off(false);
+  CloneSpec spec;
+  spec.sabre = Pick(c, 0, 2) == 1;
+  spec.same_core = Pick(c, 1, 2) == 0;
+  static constexpr core::Scenario kScenarios[] = {
+      core::Scenario::kRaw, core::Scenario::kProtected, core::Scenario::kFullFlush,
+      core::Scenario::kColourReady};
+  spec.scenario = kScenarios[Pick(c, 2, 4)];
+  static constexpr double kTimeslices[] = {0.05, 0.1, 0.25};
+  spec.timeslice_ms = kTimeslices[Pick(c, 3, 3)];
+  static constexpr double kFractions[] = {1.0, 0.5, 0.25};
+  spec.colour_fraction = kFractions[Pick(c, 4, 3)];
+  spec.ops = c.ops;
+  spec.clone_point = Pick(c, 5, c.ops.size() + 1);
+  spec.seed = c.seed;
+  const std::string diff = CompareClone(spec);
+  if (diff.empty()) {
+    return OracleResult{};
+  }
+  return OracleResult::Violation(std::string(spec.sabre ? "Sabre" : "Haswell") +
+                                 (spec.same_core ? ", one core: " : ", two cores: ") + diff);
+}
+
+// ---------------------------------------------------------------------------
 // Generation
 // ---------------------------------------------------------------------------
 
@@ -1490,6 +1520,16 @@ void GenerateQuiescent(Rng& rng, FuzzCase& c) {
   }
   // 2-12 chunks: a few timeslices of at most 0.25 ms each.
   const std::size_t n = 2 + rng.Below(11);
+  for (std::size_t i = 0; i < n; ++i) {
+    c.ops.push_back(rng.Next());
+  }
+}
+
+void GenerateClone(Rng& rng, FuzzCase& c) {
+  for (int i = 0; i < 6; ++i) {
+    c.params.push_back(rng.Next());
+  }
+  const std::size_t n = 2 + rng.Below(9);
   for (std::size_t i = 0; i < n; ++i) {
     c.ops.push_back(rng.Next());
   }
@@ -1646,6 +1686,8 @@ OracleResult RunCase(const FuzzCase& c) {
         return RunInclusion(c);
       case Target::kQuiescent:
         return RunQuiescent(c);
+      case Target::kClone:
+        return RunClone(c);
     }
   } catch (const std::exception& e) {
     return OracleResult::Violation(std::string("unhandled exception: ") + e.what());
@@ -1683,6 +1725,9 @@ FuzzCase GenerateCase(Target target, std::uint64_t case_seed) {
       break;
     case Target::kQuiescent:
       GenerateQuiescent(rng, c);
+      break;
+    case Target::kClone:
+      GenerateClone(rng, c);
       break;
   }
   return c;

@@ -33,6 +33,11 @@
 //                 Kernel::RunUntil and by the per-step StepCore loop must
 //                 agree on observations, per-core cycles and perf counters,
 //                 domain switches and StateDigest (CompareQuiescent below).
+//   clone       — a random experiment (platform, placement, scenario,
+//                 timeslice, colour fraction) cloned after a random prefix
+//                 of random set-up ops: the source and the clone, each
+//                 finishing the ops and running a kernel-channel tail, must
+//                 both match a build that was never cloned (CompareClone).
 #ifndef TP_FUZZ_ORACLES_HPP_
 #define TP_FUZZ_ORACLES_HPP_
 
@@ -143,6 +148,27 @@ QuiescentOutcome CompareQuiescent(const QuiescentSpec& spec);
 // The per-step reference for Kernel::RunUntil: StepCore on the lowest-clock
 // core, ties to the lowest index, until every clock has reached `until`.
 void StepwiseRunUntil(kernel::Kernel& kernel, hw::Cycles until);
+
+// --- clone: Experiment::Clone vs a build that was never cloned -----------
+
+struct CloneSpec {
+  bool sabre = false;
+  bool same_core = true;  // false: two cores, receiver on core 1
+  core::Scenario scenario = core::Scenario::kRaw;
+  double timeslice_ms = 0.1;
+  double colour_fraction = 1.0;
+  // Set-up ops (src/fuzz/clone.cpp ApplyOp): buffers (some starting a new
+  // page-table leaf), notifications, endpoints, vspaces from a domain's
+  // pool or the kernel's untyped pool, frames mapped into the latter, and
+  // idle kernel runs.
+  std::vector<std::uint64_t> ops;
+  std::size_t clone_point = 0;  // ops applied before the clone
+  std::uint64_t seed = 1;       // the tail's sender seed
+};
+
+// "" when the source and the clone both finish like the reference build,
+// else the first difference.
+std::string CompareClone(const CloneSpec& spec);
 
 }  // namespace tp::fuzz
 

@@ -27,10 +27,22 @@ SimTally SimTallySnapshot() {
 }
 
 Core::~Core() {
+  if (!tallied_) {
+    return;
+  }
   g_sim_accesses.fetch_add(counters_.reads + counters_.writes + counters_.fetches,
                            std::memory_order_relaxed);
   g_sim_branches.fetch_add(counters_.branches, std::memory_order_relaxed);
 }
+
+namespace {
+// Whether batch replay runs on a core built now: it stands down for the
+// whole process under fault injection, and TP_NO_REPLAY forces every batch
+// down the live path.
+bool BatchReplayOn() {
+  return !faults::FaultInjectionEnabled() && !EnvFlagSet("TP_NO_REPLAY");
+}
+}  // namespace
 
 Core::Core(CoreId id, Machine* machine) : id_(id), machine_(machine) {
   const MachineConfig& cfg = machine->config();
@@ -52,7 +64,50 @@ Core::Core(CoreId id, Machine* machine) : id_(id), machine_(machine) {
   // TP_NO_REPLAY forces every batch down the live path — the A/B switch
   // for localising a suspected replay divergence (results must be
   // bit-identical either way; see tests/hw/batch_replay_test.cpp).
-  batch_replay_on_ = !faults::FaultInjectionEnabled() && !EnvFlagSet("TP_NO_REPLAY");
+  batch_replay_on_ = BatchReplayOn();
+}
+
+Core::Core(const Core& other, Machine* machine)
+    : id_(other.id_),
+      machine_(machine),
+      l1i_(std::make_unique<SetAssociativeCache>(*other.l1i_)),
+      l1d_(std::make_unique<SetAssociativeCache>(*other.l1d_)),
+      l2_(other.l2_ != nullptr ? std::make_unique<SetAssociativeCache>(*other.l2_) : nullptr),
+      itlb_(std::make_unique<Tlb>(*other.itlb_)),
+      dtlb_(std::make_unique<Tlb>(*other.dtlb_)),
+      l2tlb_(std::make_unique<Tlb>(*other.l2tlb_)),
+      bp_(std::make_unique<BranchPredictor>(*other.bp_)),
+      prefetcher_(std::make_unique<StreamPrefetcher>(*other.prefetcher_)),
+      preemption_timer_(other.preemption_timer_),
+      counters_(other.counters_),
+      user_ctx_(other.user_ctx_),
+      kernel_ctx_(other.kernel_ctx_),
+      kernel_global_(other.kernel_global_),
+      domain_tag_(other.domain_tag_),
+      taint_on_(other.taint_on_),
+      taint_owner_(other.taint_owner_),
+      taint_neutral_(other.taint_neutral_),
+      cycles_(other.cycles_),
+      last_miss_line_(other.last_miss_line_),
+      user_gen_(other.user_gen_),
+      kernel_gen_(other.kernel_gen_),
+      batch_replay_on_(BatchReplayOn()),
+      fault_memo_stale_(other.fault_memo_stale_) {}
+
+void Core::RebindContexts(
+    const std::unordered_map<const TranslationContext*, const TranslationContext*>& copies) {
+  auto copy_of = [&copies](const TranslationContext* ctx) -> const TranslationContext* {
+    if (ctx == nullptr) {
+      return nullptr;
+    }
+    auto it = copies.find(ctx);
+    if (it == copies.end()) {
+      throw std::logic_error("Core::RebindContexts: context has no copy");
+    }
+    return it->second;
+  };
+  SetUserContext(copy_of(user_ctx_));
+  SetKernelContext(copy_of(kernel_ctx_), kernel_global_);
 }
 
 void Core::SetTaintOwner(std::uint16_t owner) {

@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "faults/fault.hpp"
@@ -99,7 +100,16 @@ enum BatchScope : std::uint32_t {
 class Core {
  public:
   Core(CoreId id, Machine* machine);
+  // Deep copy of `other` on `machine` (Machine::Clone): caches, TLBs,
+  // branch predictor, prefetcher, timer, counters and clock are copied;
+  // the host-only translation and batch-replay memos start empty, and the
+  // contexts still point at `other`'s until RebindContexts. The copy feeds
+  // the SimTally at destruction, whatever `other` does.
+  Core(const Core& other, Machine* machine);
   ~Core();
+
+  Core(const Core&) = delete;
+  Core& operator=(const Core&) = delete;
 
   // --- context (set by the kernel on thread/kernel switch) ---------------
 
@@ -109,6 +119,10 @@ class Core {
   // have per-image mappings — the root of the Arm IPC overhead in Table 5).
   void SetUserContext(const TranslationContext* user_ctx);
   void SetKernelContext(const TranslationContext* kernel_ctx, bool kernel_global);
+  // Replaces both contexts by their copies (after a kernel clone); null
+  // stays null. Throws std::logic_error when a context has no copy.
+  void RebindContexts(
+      const std::unordered_map<const TranslationContext*, const TranslationContext*>& copies);
   // Tags prefetcher training so leftover streams from another domain are
   // recognisably stale. The kernel passes the current domain/kernel id.
   void SetDomainTag(std::uint16_t tag) {
@@ -190,6 +204,10 @@ class Core {
   // Invalidate a line in all private caches (inclusive-LLC back-invalidate).
   void BackInvalidateLine(PAddr line_paddr);
 
+  // Whether this core's counters are added to the SimTally when it is
+  // destroyed (see Machine::DetachTally).
+  void set_tallied(bool tallied) { tallied_ = tallied; }
+
   // Folds this core's batch-reachable state (caches, TLBs, prefetcher, DRAM
   // row memo) into a machine state digest (see Machine::StateDigest).
   void DigestState(std::uint64_t& h) const;
@@ -260,6 +278,7 @@ class Core {
   std::uint16_t taint_owner_ = 0;
   std::vector<std::pair<PAddr, PAddr>> taint_neutral_;  // [base, end)
   Cycles cycles_ = 0;
+  bool tallied_ = true;
   std::uint64_t last_miss_line_ = ~std::uint64_t{0};
   std::vector<PAddr> walk_scratch_;
 

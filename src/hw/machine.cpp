@@ -125,6 +125,28 @@ Machine::Machine(const MachineConfig& config)
   }
 }
 
+Machine::Machine(const Machine& other, CloneTag)
+    : config_(other.config_),
+      state_gen_(other.state_gen_),
+      back_invalidate_count_(other.back_invalidate_count_),
+      llc_(std::make_unique<SetAssociativeCache>(*other.llc_)),
+      irqc_(other.irqc_),
+      device_timers_(other.device_timers_) {
+  for (const std::unique_ptr<Core>& core : other.cores_) {
+    cores_.push_back(std::make_unique<Core>(*core, this));
+  }
+}
+
+std::unique_ptr<Machine> Machine::Clone() const {
+  return std::unique_ptr<Machine>(new Machine(*this, CloneTag{}));
+}
+
+void Machine::DetachTally() {
+  for (std::unique_ptr<Core>& core : cores_) {
+    core->set_tallied(false);
+  }
+}
+
 void Machine::PollDeviceTimers(Cycles now) {
   for (OneShotTimer& t : device_timers_) {
     if (t.Expired(now)) {

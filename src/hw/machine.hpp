@@ -67,6 +67,19 @@ class Machine {
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
 
+  // Deep copy: every simulated structure, counter, clock, the IRQ
+  // controller and the device timers. Host-only memos (translation,
+  // batch replay, scoped digests) start empty, which changes no result:
+  // a replay equals the live run it stands for. The cores keep pointing
+  // at this machine's translation contexts until the kernel's clone
+  // rebinds them (kernel::Kernel::Clone).
+  std::unique_ptr<Machine> Clone() const;
+
+  // Keeps this machine's work out of the process-wide SimTally: for a held
+  // set-up snapshot, whose clones each tally the set-up's work as a fresh
+  // build would. Clones of a detached machine tally normally.
+  void DetachTally();
+
   Core& core(std::size_t i) { return *cores_.at(i); }
   std::size_t num_cores() const { return cores_.size(); }
   SetAssociativeCache& llc() { return *llc_; }
@@ -127,6 +140,9 @@ class Machine {
   std::uint64_t back_invalidate_count() const { return back_invalidate_count_; }
 
  private:
+  struct CloneTag {};
+  Machine(const Machine& other, CloneTag);
+
   MachineConfig config_;
   std::uint64_t state_gen_ = 0;
   std::uint64_t back_invalidate_count_ = 0;

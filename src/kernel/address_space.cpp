@@ -5,7 +5,7 @@
 namespace tp::kernel {
 
 AddressSpace::AddressSpace(hw::Asid asid, hw::PAddr root_frame, FrameAllocator allocator)
-    : asid_(asid), direct_map_(false), root_frame_(root_frame), allocator_(std::move(allocator)) {
+    : asid_(asid), direct_map_(false), root_frame_(root_frame), allocator_(allocator) {
   table_frames_.push_back(root_frame_);
 }
 

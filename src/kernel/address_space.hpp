@@ -12,7 +12,6 @@
 #define TP_KERNEL_ADDRESS_SPACE_HPP_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -23,9 +22,30 @@
 
 namespace tp::kernel {
 
-// Allocates physical page frames for page tables; wired to the owning
-// domain's untyped pool by the caller.
-using FrameAllocator = std::function<std::optional<hw::PAddr>()>;
+// A pool of physical page frames for page tables: the kernel's untyped
+// objects, or a domain manager's coloured pools. `key` names the pool in
+// the source's own terms.
+class FrameSource {
+ public:
+  virtual std::optional<hw::PAddr> TakeTableFrame(std::uint64_t key) = 0;
+
+ protected:
+  ~FrameSource() = default;
+};
+
+// Where an address space's interior table frames come from, wired to the
+// owning domain's pool by the caller. Plain data rather than a closure, so
+// an AddressSpace copies by value and the copy can be rebound to the clone
+// of its source (see Kernel::RebindFrameSources).
+struct FrameAllocator {
+  FrameSource* source = nullptr;  // null: no interior tables can be added
+  std::uint64_t key = 0;
+
+  std::optional<hw::PAddr> operator()() const {
+    return source != nullptr ? source->TakeTableFrame(key) : std::nullopt;
+  }
+  explicit operator bool() const { return source != nullptr; }
+};
 
 class AddressSpace final : public hw::TranslationContext {
  public:
@@ -41,7 +61,8 @@ class AddressSpace final : public hw::TranslationContext {
   // Returns false if a table frame was needed but allocation failed.
   bool Map(hw::VAddr vaddr, hw::PAddr paddr, bool global = false);
   void Unmap(hw::VAddr vaddr);
-  void SetAllocator(FrameAllocator alloc) { allocator_ = std::move(alloc); }
+  void SetAllocator(FrameAllocator alloc) { allocator_ = alloc; }
+  const FrameAllocator& allocator() const { return allocator_; }
   bool IsMapped(hw::VAddr vaddr) const;
   std::size_t MappedPages() const { return mappings_.size(); }
 

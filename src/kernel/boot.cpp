@@ -20,7 +20,7 @@ ObjId Kernel::CreateKernelImageObject(hw::PAddr base, bool boot_image) {
   for (std::size_t off = 0; off < total; off += hw::kPageSize) {
     img.frames.push_back(base + off);  // boot image: physically contiguous
   }
-  img.window = std::make_unique<AddressSpace>(
+  img.window = Boxed<AddressSpace>(
       AddressSpace::KernelWindow(next_asid_++, img.RegionFrames(img.pt_off, img.pt_size)));
   img.is_boot_image = boot_image;
   img.initialised = true;

@@ -120,6 +120,9 @@ StepTally StepTallySnapshot() {
 }
 
 Kernel::~Kernel() {
+  if (!tallied_) {
+    return;
+  }
   g_step_calls.fetch_add(steps_.step_calls, std::memory_order_relaxed);
   g_fast_forward_steps.fetch_add(steps_.fast_forward_steps, std::memory_order_relaxed);
   g_fast_forward_batches.fetch_add(steps_.fast_forward_batches, std::memory_order_relaxed);

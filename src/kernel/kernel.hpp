@@ -120,13 +120,39 @@ struct StepTally {
 };
 StepTally StepTallySnapshot();
 
-class Kernel {
+// Copies of a source's capability spaces made while cloning it, keyed by
+// the source cspace: every holder of a shared cspace in the source shares
+// one copy in the clone (see CopyCSpace).
+using CSpaceCopies = std::unordered_map<const CSpace*, std::shared_ptr<CSpace>>;
+// The clone's copy of `cspace`, made on first request; null stays null.
+std::shared_ptr<CSpace> CopyCSpace(const std::shared_ptr<CSpace>& cspace,
+                                   CSpaceCopies& copies);
+
+class Kernel final : private FrameSource {
  public:
   Kernel(hw::Machine& machine, const KernelConfig& config);
   ~Kernel();
 
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
+
+  // Deep copy of this kernel onto `machine`, a Machine::Clone of this
+  // kernel's machine: objects, capabilities, scheduler and per-core state
+  // are copied; the copy's idle threads run its own idle programs, its
+  // cores are rebound to its own address spaces, and its address spaces
+  // draw table frames from it. A host-side copy of the whole simulated
+  // system, not the Kernel_Clone syscall (KernelClone). Throws
+  // std::logic_error when the kernel holds what a copy cannot reproduce:
+  // a user program on a thread, a contract checker (taint mode) or a
+  // shared-data probe. CSpaces land in `cspaces`, for the other holders
+  // of the same cspaces (core::DomainManager::Clone).
+  std::unique_ptr<Kernel> Clone(hw::Machine& machine, CSpaceCopies& cspaces) const;
+  // Points every address space that draws table frames from `from` at
+  // `to` (the clone of `from`).
+  void RebindFrameSources(const FrameSource* from, FrameSource* to);
+  // Keeps this kernel's step counts out of the process-wide StepTally (see
+  // hw::Machine::DetachTally); clones tally normally.
+  void DetachTally() { tallied_ = false; }
 
   const BootInfo& boot_info() const { return boot_info_; }
   const KernelConfig& config() const { return config_; }
@@ -266,6 +292,12 @@ class Kernel {
   friend class UserApi;
   friend class ContractChecker;
 
+  Kernel(const Kernel& source, hw::Machine& machine, CSpaceCopies& cspaces);
+
+  // FrameSource: interior page-table frames for a vspace retyped from the
+  // untyped object `untyped`, bump-allocated from it.
+  std::optional<hw::PAddr> TakeTableFrame(std::uint64_t untyped) override;
+
   struct CoreState {
     ObjId cur_tcb = kNullObj;
     ObjId cur_image = kNullObj;
@@ -326,6 +358,7 @@ class Kernel {
   void Boot();
   ObjId CreateKernelImageObject(hw::PAddr base, bool boot_image);
   ObjId CreateIdleThread(ObjId image, hw::PAddr metadata, hw::CoreId affinity);
+  static std::unique_ptr<UserProgram> NewIdleProgram();
 
   hw::Machine& machine_;
   KernelConfig config_;
@@ -351,6 +384,7 @@ class Kernel {
   KernelImageId next_image_id_ = 1;
   std::uint64_t domain_switches_ = 0;
   StepTally steps_;  // fed into the process-wide tally at destruction
+  bool tallied_ = true;
   std::unordered_map<DomainId, ObjId> domain_image_;
   SharedTouchProbe shared_probe_;
   std::vector<hw::VAddr> line_run_;  // ExecText/TouchData/ManualL1DFlush batch scratch

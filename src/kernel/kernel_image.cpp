@@ -14,8 +14,12 @@ class IdleProgram final : public UserProgram {
 
 }  // namespace
 
+std::unique_ptr<UserProgram> Kernel::NewIdleProgram() {
+  return std::make_unique<IdleProgram>();
+}
+
 ObjId Kernel::CreateIdleThread(ObjId image, hw::PAddr metadata, hw::CoreId affinity) {
-  kernel_owned_programs_.push_back(std::make_unique<IdleProgram>());
+  kernel_owned_programs_.push_back(NewIdleProgram());
   TcbObj t;
   t.metadata_paddr = metadata;
   t.kernel_image = image;
@@ -94,7 +98,7 @@ SyscallResult Kernel::KernelClone(hw::CoreId core, CSpace& cspace, CapIdx dest_i
   }
 
   // New kernel address space with its own ASID (§4.1 step 2).
-  dst.window = std::make_unique<AddressSpace>(
+  dst.window = Boxed<AddressSpace>(
       AddressSpace::KernelWindow(next_asid_++, dst.RegionFrames(dst.pt_off, dst.pt_size)));
   TouchData(core, shared_data_.At(SharedDataLayout::kAsidTable), 64, true);
 

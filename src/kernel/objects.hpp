@@ -12,6 +12,7 @@
 #include <deque>
 #include <memory>
 #include <set>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -57,6 +58,33 @@ inline std::size_t QuiescentSteps(hw::Cycles now, hw::Cycles bound, hw::Cycles c
   return steps >= 2 ? static_cast<std::size_t>(steps) : 0;
 }
 
+// Heap storage with value semantics: copying a Boxed copies its payload
+// (an empty box copies as empty). Keeps payloads that are large or rare
+// (kernel images, TCBs, IPC objects) out of the Object variant, so the
+// frames and untypeds that make up most of a table stay small, and a
+// whole ObjectTable still copies by value. The payload's address is stable
+// across moves of the box, so cores may hold pointers into it.
+template <typename T>
+class Boxed {
+ public:
+  Boxed() = default;
+  explicit Boxed(T value) : p_(std::make_unique<T>(std::move(value))) {}
+  Boxed(const Boxed& other) : p_(other.p_ ? std::make_unique<T>(*other.p_) : nullptr) {}
+  Boxed(Boxed&&) noexcept = default;
+  Boxed& operator=(const Boxed& other) {
+    p_ = other.p_ ? std::make_unique<T>(*other.p_) : nullptr;
+    return *this;
+  }
+  Boxed& operator=(Boxed&&) noexcept = default;
+
+  T& operator*() const { return *p_; }
+  T* operator->() const { return p_.get(); }
+  T* get() const { return p_.get(); }
+
+ private:
+  std::unique_ptr<T> p_;
+};
+
 struct UntypedObj {
   hw::PAddr base = 0;
   std::size_t size_bytes = 0;
@@ -99,7 +127,7 @@ struct NotificationObj {
 };
 
 struct VSpaceObj {
-  std::unique_ptr<AddressSpace> space;
+  Boxed<AddressSpace> space;
   hw::PAddr metadata_paddr = 0;
 };
 
@@ -134,7 +162,7 @@ struct KernelImageObj {
     }
     return out;
   }
-  std::unique_ptr<AddressSpace> window;  // kernel address space
+  Boxed<AddressSpace> window;  // kernel address space
   std::vector<ObjId> idle_threads;  // one per core (always-runnable invariant)
   std::uint64_t running_cores = 0;  // bitmap, updated on kernel switch (§4.4)
   std::set<hw::IrqLine> irqs;      // interrupts associated via Kernel_SetInt
@@ -164,12 +192,21 @@ struct DeviceTimerObj {
   std::size_t timer_index = 0;
 };
 
+// Which payloads an Object keeps boxed (see Boxed).
+template <typename T>
+inline constexpr bool kBoxedPayload =
+    std::is_same_v<T, TcbObj> || std::is_same_v<T, EndpointObj> ||
+    std::is_same_v<T, NotificationObj> || std::is_same_v<T, KernelImageObj>;
+template <typename T>
+using StoredPayload = std::conditional_t<kBoxedPayload<T>, Boxed<T>, T>;
+
 struct Object {
-  ObjectType type = ObjectType::kNull;
   std::uint32_t generation = 0;
+  ObjectType type = ObjectType::kNull;
   bool live = false;
-  std::variant<std::monostate, UntypedObj, FrameObj, TcbObj, EndpointObj, NotificationObj,
-               VSpaceObj, KernelImageObj, KernelMemoryObj, IrqHandlerObj, DeviceTimerObj>
+  std::variant<std::monostate, UntypedObj, FrameObj, Boxed<TcbObj>, Boxed<EndpointObj>,
+               Boxed<NotificationObj>, VSpaceObj, Boxed<KernelImageObj>, KernelMemoryObj,
+               IrqHandlerObj, DeviceTimerObj>
       data;
 };
 
@@ -213,7 +250,7 @@ class ObjectTable {
     Object o;
     o.type = type;
     o.live = true;
-    o.data = std::forward<T>(payload);
+    o.data = StoredPayload<std::decay_t<T>>(std::forward<T>(payload));
     objects_.push_back(std::move(o));
     return id;
   }
@@ -225,11 +262,11 @@ class ObjectTable {
   // Type-checked payload accessors; throw std::bad_variant_access on misuse.
   template <typename T>
   T& As(ObjId id) {
-    return std::get<T>(objects_.at(id).data);
+    return Unbox<T>(std::get<StoredPayload<T>>(objects_.at(id).data));
   }
   template <typename T>
   const T& As(ObjId id) const {
-    return std::get<T>(objects_.at(id).data);
+    return Unbox<T>(std::get<StoredPayload<T>>(objects_.at(id).data));
   }
 
   // Destroys the object: bumps generation so stale capabilities fail
@@ -242,6 +279,15 @@ class ObjectTable {
   std::size_t size() const { return objects_.size(); }
 
  private:
+  template <typename T, typename Stored>
+  static auto& Unbox(Stored& stored) {
+    if constexpr (kBoxedPayload<T>) {
+      return *stored;
+    } else {
+      return stored;
+    }
+  }
+
   std::deque<Object> objects_;
 };
 

@@ -13,7 +13,7 @@ void Scheduler::EnsureDomain(DomainId domain) {
 
 void Scheduler::Enqueue(ObjId tcb, std::uint8_t priority, DomainId domain) {
   EnsureDomain(domain);
-  std::deque<ObjId>& q = queues_[domain][priority].q;
+  std::vector<ObjId>& q = queues_[domain][priority].q;
   if (std::find(q.begin(), q.end(), tcb) == q.end()) {
     q.push_back(tcb);
   }
@@ -22,7 +22,7 @@ void Scheduler::Enqueue(ObjId tcb, std::uint8_t priority, DomainId domain) {
 
 void Scheduler::Dequeue(ObjId tcb, std::uint8_t priority, DomainId domain) {
   EnsureDomain(domain);
-  std::deque<ObjId>& q = queues_[domain][priority].q;
+  std::vector<ObjId>& q = queues_[domain][priority].q;
   q.erase(std::remove(q.begin(), q.end(), tcb), q.end());
   if (q.empty()) {
     bitmap_[domain][priority / 64] &= ~(std::uint64_t{1} << (priority % 64));
@@ -33,7 +33,7 @@ bool Scheduler::IsQueued(ObjId tcb, std::uint8_t priority, DomainId domain) cons
   if (queues_.size() <= domain) {
     return false;
   }
-  const std::deque<ObjId>& q = queues_[domain][priority].q;
+  const std::vector<ObjId>& q = queues_[domain][priority].q;
   return std::find(q.begin(), q.end(), tcb) != q.end();
 }
 
@@ -48,10 +48,10 @@ ObjId Scheduler::PickAndRotate(DomainId domain) {
     }
     int bit = 63 - __builtin_clzll(bits);
     std::uint8_t prio = static_cast<std::uint8_t>(word * 64 + bit);
-    std::deque<ObjId>& q = queues_[domain][prio].q;
-    ObjId head = q.front();
-    q.pop_front();
-    q.push_back(head);  // round-robin within the priority
+    std::vector<ObjId>& q = queues_[domain][prio].q;
+    // Round-robin within the priority: the head moves to the tail.
+    std::rotate(q.begin(), q.begin() + 1, q.end());
+    const ObjId head = q.back();
     last_picked_priority_ = prio;
     return head;
   }

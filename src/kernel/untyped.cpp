@@ -95,19 +95,10 @@ SyscallResult Kernel::Retype(hw::CoreId core, CSpace& cspace, CapIdx untyped, Ob
         case ObjectType::kVSpace: {
           VSpaceObj v;
           v.metadata_paddr = base;
-          ObjId ut_id = ucap->obj;
           // Interior page-table frames come from the same untyped pool the
           // vspace was retyped from, keeping them in the domain's colours.
-          FrameAllocator alloc = [this, ut_id]() -> std::optional<hw::PAddr> {
-            UntypedObj& pool = objects_.As<UntypedObj>(ut_id);
-            std::size_t m = (pool.watermark + hw::kPageSize - 1) / hw::kPageSize * hw::kPageSize;
-            if (m + hw::kPageSize > pool.size_bytes) {
-              return std::nullopt;
-            }
-            pool.watermark = m + hw::kPageSize;
-            return pool.base + m;
-          };
-          v.space = std::make_unique<AddressSpace>(next_asid_++, base, std::move(alloc));
+          v.space = Boxed<AddressSpace>(
+              AddressSpace(next_asid_++, base, FrameAllocator{this, ucap->obj}));
           id = objects_.Create(type, std::move(v));
           TouchData(core, base, 1024, true);
           TouchData(core, shared_data_.At(SharedDataLayout::kAsidTable), 64, true);
@@ -190,7 +181,7 @@ SyscallResult Kernel::RetypeInFrame(hw::CoreId core, CSpace& cspace, CapIdx fram
         // any domain can reach. Interior frames come via SetVSpaceAllocator.
         VSpaceObj v;
         v.metadata_paddr = base;
-        v.space = std::make_unique<AddressSpace>(next_asid_++, base, nullptr);
+        v.space = Boxed<AddressSpace>(AddressSpace(next_asid_++, base, FrameAllocator{}));
         id = objects_.Create(type, std::move(v));
         TouchData(core, base, 1024, true);
         TouchData(core, shared_data_.At(SharedDataLayout::kAsidTable), 64, true);
@@ -235,13 +226,23 @@ SyscallResult Kernel::KernelMemoryAddFrame(hw::CoreId core, CSpace& cspace, CapI
   return r;
 }
 
+std::optional<hw::PAddr> Kernel::TakeTableFrame(std::uint64_t untyped) {
+  UntypedObj& pool = objects_.As<UntypedObj>(static_cast<ObjId>(untyped));
+  std::size_t m = (pool.watermark + hw::kPageSize - 1) / hw::kPageSize * hw::kPageSize;
+  if (m + hw::kPageSize > pool.size_bytes) {
+    return std::nullopt;
+  }
+  pool.watermark = m + hw::kPageSize;
+  return pool.base + m;
+}
+
 SyscallResult Kernel::SetVSpaceAllocator(CSpace& cspace, CapIdx vspace, FrameAllocator alloc) {
   SyscallResult r;
   const Capability* vcap = Check(cspace, vspace, ObjectType::kVSpace);
   if (vcap == nullptr) {
     r.error = SyscallError::kInvalidCap;
   } else {
-    objects_.As<VSpaceObj>(vcap->obj).space->SetAllocator(std::move(alloc));
+    objects_.As<VSpaceObj>(vcap->obj).space->SetAllocator(alloc);
   }
   return r;
 }

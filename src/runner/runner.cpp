@@ -62,7 +62,8 @@ mi::Observations RunSharded(const ExperimentRunner& runner, const ShardPlan& pla
                             const std::function<mi::Observations(const Shard&)>& shard_fn) {
   std::vector<mi::Observations> parts =
       runner.Map(plan.num_shards(), [&](std::size_t i) {
-        return shard_fn(Shard{i, plan.SeedFor(i), plan.shard_rounds[i]});
+        return shard_fn(
+            Shard{i, plan.SeedFor(i), plan.shard_rounds[i], plan.num_shards()});
       });
   return MergeObservations(parts);
 }
@@ -74,7 +75,8 @@ std::vector<mi::Observations> RunShardedCells(
   for (std::size_t cell = 0; cell < plans.size(); ++cell) {
     const ShardPlan& plan = plans[cell];
     for (std::size_t i = 0; i < plan.num_shards(); ++i) {
-      tasks.emplace_back(cell, Shard{i, plan.SeedFor(i), plan.shard_rounds[i]});
+      tasks.emplace_back(cell,
+                         Shard{i, plan.SeedFor(i), plan.shard_rounds[i], plan.num_shards()});
     }
   }
   std::vector<mi::Observations> parts = runner.Map(

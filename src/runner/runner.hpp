@@ -152,6 +152,7 @@ struct Shard {
   std::size_t index = 0;
   std::uint64_t seed = 0;
   std::size_t rounds = 0;
+  std::size_t count = 1;  // shards in the cell's plan
 };
 
 // Fans the shards of `plan` out across the runner's threads and merges the

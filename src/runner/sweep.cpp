@@ -178,7 +178,8 @@ std::vector<SweepCellResult> RunAdaptiveGrid(
     std::vector<WaveTask> tasks;
     for (std::size_t c = 0; c < cells.size(); ++c) {
       if (!progress[c].stopped && w < plans[c].num_shards()) {
-        tasks.push_back({c, Shard{w, plans[c].SeedFor(w), plans[c].shard_rounds[w]}});
+        tasks.push_back({c, Shard{w, plans[c].SeedFor(w), plans[c].shard_rounds[w],
+                                  plans[c].num_shards()}});
       }
     }
     if (tasks.empty()) {
@@ -441,7 +442,8 @@ std::vector<SweepCellResult> SweepEngine::RunChannelGrid(
   std::vector<ShardTask> tasks;
   for (std::size_t c = 0; c < cells.size(); ++c) {
     for (std::size_t i = 0; i < plans[c].num_shards(); ++i) {
-      tasks.push_back({c, Shard{i, plans[c].SeedFor(i), plans[c].shard_rounds[i]}});
+      tasks.push_back({c, Shard{i, plans[c].SeedFor(i), plans[c].shard_rounds[i],
+                                plans[c].num_shards()}});
     }
   }
   std::vector<CellState> states(cells.size());
@@ -453,18 +455,27 @@ std::vector<SweepCellResult> SweepEngine::RunChannelGrid(
       states[c].error = message;
     }
   };
-  // Longest-first claim order: shards with the most rounds are picked up
-  // first, so the round ranges of one slow cell spread across the pool
-  // instead of queueing behind the rest of the grid. Scheduling only —
-  // every shard's seed, rounds and result slot are fixed by the plan above,
-  // so the merged observations stay bit-identical at any TP_THREADS.
+  // Longest-cell-first claim order: the cells whose longest shard has the
+  // most rounds are picked up first, so the round ranges of one slow cell
+  // spread across the pool instead of queueing behind the rest of the
+  // grid; within that, a cell's shards stay together in shard order, so a
+  // body that builds one set-up per cell (attacks::SetupSlot) builds it
+  // once on one thread. Scheduling only — every shard's seed, rounds and
+  // result slot are fixed by the plan above, so the merged observations
+  // stay bit-identical at any TP_THREADS.
+  std::vector<std::size_t> longest(cells.size(), 0);
+  for (const ShardTask& task : tasks) {
+    longest[task.cell] = std::max(longest[task.cell], task.shard.rounds);
+  }
   std::vector<std::size_t> claim_order(tasks.size());
   for (std::size_t i = 0; i < claim_order.size(); ++i) {
     claim_order[i] = i;
   }
+  // Tasks are listed by cell, then shard: a stable sort keeps that order
+  // among cells with equal longest shards.
   std::stable_sort(claim_order.begin(), claim_order.end(),
-                   [&tasks](std::size_t a, std::size_t b) {
-                     return tasks[a].shard.rounds > tasks[b].shard.rounds;
+                   [&](std::size_t a, std::size_t b) {
+                     return longest[tasks[a].cell] > longest[tasks[b].cell];
                    });
   std::vector<ShardOut> outs = runner_.MapScheduled(
       tasks.size(), claim_order, [&](std::size_t i) {

@@ -9,6 +9,7 @@
 
 #include "attacks/channel_experiment.hpp"
 #include "attacks/kernel_channel.hpp"
+#include "attacks/setup_cache.hpp"
 #include "mi/channel_matrix.hpp"
 #include "runner/quick.hpp"
 #include "scenarios/scenario.hpp"
@@ -17,10 +18,20 @@
 namespace tp::scenarios {
 namespace {
 
+// Every shard of a cell runs on a clone of one set-up: nothing before the
+// sender depends on the seed. The slot is per thread; the sweep claims a
+// cell's shards together, so each cell is built once per thread that runs
+// it, and the last shard drops the set-up.
 mi::Observations CellShard(const runner::GridCell& cell, const runner::Shard& shard) {
-  attacks::Experiment exp = attacks::MakeExperiment(
-      PlatformConfig(cell.platform), ScenarioByName(cell.mode), CellOptions(cell));
-  return attacks::RunKernelChannel(exp, shard.rounds, shard.seed);
+  thread_local attacks::SetupSlot<attacks::KernelChannelSetup> slot;
+  attacks::KernelChannelSetup setup = slot.Acquire(cell.CoordKey(), [&cell] {
+    return attacks::SetUpKernelChannel(attacks::MakeExperiment(
+        PlatformConfig(cell.platform), ScenarioByName(cell.mode), CellOptions(cell)));
+  });
+  if (shard.index + 1 == shard.count) {
+    slot.Release();
+  }
+  return attacks::RunKernelChannel(setup, shard.rounds, shard.seed);
 }
 
 std::vector<runner::GridSpec> Grids() {

@@ -5,19 +5,31 @@
 namespace tp::kernel {
 namespace {
 
-FrameAllocator CountingAllocator(hw::PAddr base, std::size_t max_frames,
-                                 std::size_t* allocated) {
-  return [base, max_frames, allocated]() -> std::optional<hw::PAddr> {
-    if (*allocated >= max_frames) {
+// Hands out consecutive frames from `base`, at most `max_frames`,
+// counting them in `*allocated`.
+class CountingSource final : public FrameSource {
+ public:
+  CountingSource(hw::PAddr base, std::size_t max_frames, std::size_t* allocated)
+      : base_(base), max_frames_(max_frames), allocated_(allocated) {}
+
+  std::optional<hw::PAddr> TakeTableFrame(std::uint64_t /*key*/) override {
+    if (*allocated_ >= max_frames_) {
       return std::nullopt;
     }
-    return base + (*allocated)++ * hw::kPageSize;
-  };
-}
+    return base_ + (*allocated_)++ * hw::kPageSize;
+  }
+  FrameAllocator allocator() { return FrameAllocator{this, 0}; }
+
+ private:
+  hw::PAddr base_;
+  std::size_t max_frames_;
+  std::size_t* allocated_;
+};
 
 TEST(AddressSpace, MapTranslateUnmap) {
   std::size_t allocated = 0;
-  AddressSpace as(1, 0x100000, CountingAllocator(0x200000, 8, &allocated));
+  CountingSource source(0x200000, 8, &allocated);
+  AddressSpace as(1, 0x100000, source.allocator());
   EXPECT_FALSE(as.Translate(0x5000).has_value());
   ASSERT_TRUE(as.Map(0x5000, 0x42000));
   auto tr = as.Translate(0x5123);
@@ -29,7 +41,8 @@ TEST(AddressSpace, MapTranslateUnmap) {
 
 TEST(AddressSpace, InteriorTablesComeFromAllocator) {
   std::size_t allocated = 0;
-  AddressSpace as(1, 0x100000, CountingAllocator(0x200000, 8, &allocated));
+  CountingSource source(0x200000, 8, &allocated);
+  AddressSpace as(1, 0x100000, source.allocator());
   as.Map(0x5000, 0x42000);
   EXPECT_EQ(allocated, 1u);
   // Same top-level region: no new table.
@@ -42,13 +55,15 @@ TEST(AddressSpace, InteriorTablesComeFromAllocator) {
 
 TEST(AddressSpace, MapFailsWhenAllocatorExhausted) {
   std::size_t allocated = 0;
-  AddressSpace as(1, 0x100000, CountingAllocator(0x200000, 0, &allocated));
+  CountingSource source(0x200000, 0, &allocated);
+  AddressSpace as(1, 0x100000, source.allocator());
   EXPECT_FALSE(as.Map(0x5000, 0x42000));
 }
 
 TEST(AddressSpace, WalkPathIsDeterministicAndInTableFrames) {
   std::size_t allocated = 0;
-  AddressSpace as(1, 0x100000, CountingAllocator(0x200000, 8, &allocated));
+  CountingSource source(0x200000, 8, &allocated);
+  AddressSpace as(1, 0x100000, source.allocator());
   as.Map(0x5000, 0x42000);
   std::vector<hw::PAddr> a;
   std::vector<hw::PAddr> b;
@@ -83,7 +98,8 @@ TEST(AddressSpace, KernelWindowWalksItsOwnPtFrames) {
 
 TEST(AddressSpace, GlobalFlagStored) {
   std::size_t allocated = 0;
-  AddressSpace as(1, 0x100000, CountingAllocator(0x200000, 8, &allocated));
+  CountingSource source(0x200000, 8, &allocated);
+  AddressSpace as(1, 0x100000, source.allocator());
   as.Map(0x5000, 0x42000, /*global=*/true);
   auto tr = as.Translate(0x5000);
   ASSERT_TRUE(tr.has_value());
@@ -92,7 +108,8 @@ TEST(AddressSpace, GlobalFlagStored) {
 
 TEST(AddressSpace, RemapReplacesFrame) {
   std::size_t allocated = 0;
-  AddressSpace as(1, 0x100000, CountingAllocator(0x200000, 8, &allocated));
+  CountingSource source(0x200000, 8, &allocated);
+  AddressSpace as(1, 0x100000, source.allocator());
   as.Map(0x5000, 0x42000);
   as.Map(0x5000, 0x99000);
   EXPECT_EQ(as.Translate(0x5000)->paddr, 0x99000u);
@@ -100,7 +117,8 @@ TEST(AddressSpace, RemapReplacesFrame) {
 
 TEST(AddressSpace, MappedPagesCount) {
   std::size_t allocated = 0;
-  AddressSpace as(1, 0x100000, CountingAllocator(0x200000, 8, &allocated));
+  CountingSource source(0x200000, 8, &allocated);
+  AddressSpace as(1, 0x100000, source.allocator());
   for (int i = 0; i < 5; ++i) {
     as.Map(0x5000 + i * hw::kPageSize, 0x42000 + i * hw::kPageSize);
   }

@@ -138,6 +138,31 @@ TEST(SweepEngine, GridResultsAreThreadCountInvariant) {
   EXPECT_FALSE(a[1].leakage.leak);
 }
 
+TEST(SweepEngine, ClaimsEachCellsShardsTogetherInShardOrder) {
+  // 150 rounds over 8 shards: 19 rounds for shards 0-5, 18 for 6-7. A
+  // cell's shards run back to back, so a per-cell set-up cache
+  // (attacks::SetupSlot) builds each cell once on one thread.
+  GridSpec spec;
+  spec.root_seed = 0xC1A1;
+  spec.rounds = 150;
+  spec.platforms = {"p0", "p1", "p2"};
+  spec.modes = {"quiet"};
+  std::vector<std::pair<std::string, std::size_t>> calls;
+  auto shard_fn = [&calls](const GridCell& cell, const Shard& shard) {
+    EXPECT_EQ(shard.count, 8u);
+    calls.emplace_back(cell.Name(), shard.index);
+    return SyntheticShard(cell, shard);
+  };
+  ExperimentRunner pool1(1);
+  SweepEngine(pool1).RunChannelGrid(spec, shard_fn, {.shuffles = 4});
+  const std::vector<GridCell> cells = ExpandGrid(spec);
+  ASSERT_EQ(calls.size(), cells.size() * 8);
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    EXPECT_EQ(calls[i].first, cells[i / 8].Name()) << "call " << i;
+    EXPECT_EQ(calls[i].second, i % 8) << "call " << i;
+  }
+}
+
 TEST(SweepEngine, RealKernelChannelGridIsThreadCountInvariant) {
   // One tiny real-simulator cell: the acceptance check behind
   // TP_THREADS=1 vs nproc bit-identical recorded MI.
