@@ -149,10 +149,24 @@ kernel::CapIdx DomainManager::MakeColouredVSpace(const std::set<std::size_t>& co
 MappedBuffer DomainManager::AllocBuffer(Domain& domain, std::size_t bytes) {
   MappedBuffer buf;
   buf.base = domain.next_vaddr;
-  buf.bytes = hw::PageAlignUp(bytes);
-  domain.next_vaddr += buf.bytes + hw::kPageSize;  // guard page
+  domain.next_vaddr += hw::kPageSize;  // guard page
+  GrowBuffer(domain, buf, bytes);
+  return buf;
+}
 
-  for (std::size_t off = 0; off < buf.bytes; off += hw::kPageSize) {
+void DomainManager::GrowBuffer(Domain& domain, MappedBuffer& buf, std::size_t bytes) {
+  if (domain.next_vaddr != buf.base + buf.bytes + hw::kPageSize) {
+    throw std::logic_error("DomainManager: grown buffer is not the domain's newest allocation");
+  }
+  const std::size_t to = hw::PageAlignUp(bytes);
+  if (to < buf.bytes) {
+    throw std::logic_error("DomainManager: a buffer cannot shrink");
+  }
+  const std::size_t from = buf.bytes;
+  buf.bytes = to;
+  domain.next_vaddr = buf.base + to + hw::kPageSize;  // guard page
+
+  for (std::size_t off = from; off < to; off += hw::kPageSize) {
     std::optional<kernel::CapIdx> frame = pool_.TakeFrame(domain.colours);
     if (!frame.has_value()) {
       throw std::runtime_error("DomainManager: out of coloured frames for buffer");
@@ -164,7 +178,6 @@ MappedBuffer DomainManager::AllocBuffer(Domain& domain, std::size_t bytes) {
     }
     buf.pages.emplace_back(va, pool_.FrameBase(*frame));
   }
-  return buf;
 }
 
 kernel::CapIdx DomainManager::CreateVSpace(Domain& domain) {

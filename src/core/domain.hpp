@@ -69,8 +69,17 @@ class DomainManager final : private kernel::FrameSource {
   Domain& CreateDomain(const DomainOptions& options);
 
   // Allocates `bytes` of coloured frames and maps them contiguously in the
-  // domain's vspace.
+  // domain's vspace, followed by an unmapped guard page: an empty buffer
+  // grown to `bytes` (GrowBuffer).
   MappedBuffer AllocBuffer(Domain& domain, std::size_t bytes);
+
+  // Grows `buffer`, the domain's newest allocation, to `bytes` by mapping
+  // coloured frames after its end, and moves the guard page past them.
+  // Growing in steps makes exactly the syscalls, and leaves exactly the
+  // state, of one AllocBuffer of the final size. Throws std::logic_error
+  // when `buffer` is not the domain's newest allocation or `bytes` is
+  // smaller than it.
+  void GrowBuffer(Domain& domain, MappedBuffer& buffer, std::size_t bytes);
 
   // Creates, configures and resumes a thread running `program` in `domain`.
   // `vspace` overrides the domain's default address space (0 = default),

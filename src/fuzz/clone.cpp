@@ -4,6 +4,7 @@
 // the set-up and then a kernel-channel tail; every observation, clock,
 // perf counter, domain switch and the machine state digest must agree.
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <optional>
 #include <set>
@@ -33,29 +34,40 @@ attacks::Experiment Build(const CloneSpec& spec) {
 
 // An experiment plus the vspaces the ops retyped straight from the kernel's
 // untyped pool (their table frames come from the kernel, not from the
-// domain manager's coloured pools).
+// domain manager's coloured pools), and each domain's last buffer.
 struct Run {
   attacks::Experiment exp;
   std::vector<kernel::CapIdx> untyped_vspaces;
+  std::array<core::MappedBuffer, 2> buffers;  // sender's, receiver's
 
-  Run Clone() const { return Run{exp.Clone(), untyped_vspaces}; }
+  Run Clone() const { return Run{exp.Clone(), untyped_vspaces, buffers}; }
 };
 
-// One set-up op: op % 6 picks it, bit 4 the domain, bit 5 a variant, bits 8
-// and up its size.
+// One set-up op: op % 6 picks it, bit 4 the domain, bit 5 a variant, bit 6
+// growth (buffers only), bits 8 and up its size.
 void ApplyOp(Run& run, std::uint64_t op) {
   attacks::Experiment& exp = run.exp;
-  core::Domain& domain = (op >> 4) & 1 ? *exp.receiver_domain : *exp.sender_domain;
+  const std::size_t side = (op >> 4) & 1;
+  core::Domain& domain = side != 0 ? *exp.receiver_domain : *exp.sender_domain;
   const bool variant = (op >> 5) & 1;
+  const bool grow = (op >> 6) & 1;
   const std::uint64_t amount = op >> 8;
   constexpr hw::VAddr kLeafSpan = hw::VAddr{1} << 21;  // one leaf table's reach
   switch (op % 6) {
-    case 0:
+    case 0: {
+      core::MappedBuffer& last = run.buffers[side];
+      const std::size_t bytes = (1 + amount % 48) * hw::kPageSize;
+      if (grow && domain.next_vaddr == last.base + last.bytes + hw::kPageSize) {
+        // Grow the domain's newest allocation, when it is the last buffer.
+        exp.manager->GrowBuffer(domain, last, last.bytes + bytes);
+        break;
+      }
       if (variant) {  // start a fresh leaf table's range: a new table frame
         domain.next_vaddr = (domain.next_vaddr / kLeafSpan + 1 + amount % 3) * kLeafSpan;
       }
-      exp.manager->AllocBuffer(domain, (1 + amount % 48) * hw::kPageSize);
+      last = exp.manager->AllocBuffer(domain, bytes);
       break;
+    }
     case 1:
       exp.manager->CreateNotification(domain);
       break;

@@ -158,9 +158,9 @@ struct CloneSpec {
   double timeslice_ms = 0.1;
   double colour_fraction = 1.0;
   // Set-up ops (src/fuzz/clone.cpp ApplyOp): buffers (some starting a new
-  // page-table leaf), notifications, endpoints, vspaces from a domain's
-  // pool or the kernel's untyped pool, frames mapped into the latter, and
-  // idle kernel runs.
+  // page-table leaf, some growing the domain's newest buffer),
+  // notifications, endpoints, vspaces from a domain's pool or the kernel's
+  // untyped pool, frames mapped into the latter, and idle kernel runs.
   std::vector<std::uint64_t> ops;
   std::size_t clone_point = 0;  // ops applied before the clone
   std::uint64_t seed = 1;       // the tail's sender seed

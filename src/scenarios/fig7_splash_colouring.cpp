@@ -12,10 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "core/domain.hpp"
-#include "core/time_protection.hpp"
-#include "hw/machine.hpp"
-#include "kernel/kernel.hpp"
+#include "attacks/splash_cost.hpp"
 #include "runner/quick.hpp"
 #include "scenarios/scenario.hpp"
 #include "scenarios/scenario_util.hpp"
@@ -24,40 +21,6 @@
 
 namespace tp::scenarios {
 namespace {
-
-// Cycles to complete `target_accesses` of `kind`, solo on the machine.
-double RunOnce(const hw::MachineConfig& mc, workloads::SplashKind kind, bool clone,
-               double colour_fraction, std::uint64_t target_accesses) {
-  hw::Machine machine(mc);
-  kernel::KernelConfig kc;
-  kc.clone_support = clone;
-  kc.timeslice_cycles = machine.MicrosToCycles(10'000.0);
-  kernel::Kernel kernel(machine, kc);
-  core::DomainManager mgr(kernel);
-
-  core::DomainOptions opts;
-  opts.id = 1;
-  if (colour_fraction < 1.0) {
-    opts.colours = core::SplitColours(mc, 1, colour_fraction)[0];
-  }
-  core::Domain& d = mgr.CreateDomain(opts);
-  core::MappedBuffer buf = mgr.AllocBuffer(d, workloads::WorkingSetBytes(kind, mc));
-  workloads::SplashProgram prog(kind, buf, /*seed=*/0x5B1A5);
-  mgr.StartThread(d, &prog, 100, 0);
-  kernel.SetDomainSchedule(0, {1});
-  kernel.KickSchedule(0);
-
-  // Warm-up pass over a fraction of the working set.
-  while (prog.accesses() < target_accesses / 8) {
-    kernel.StepCore(0);
-  }
-  hw::Cycles t0 = machine.core(0).now();
-  std::uint64_t a0 = prog.accesses();
-  while (prog.accesses() - a0 < target_accesses) {
-    kernel.StepCore(0);
-  }
-  return static_cast<double>(machine.core(0).now() - t0);
-}
 
 void Run(RunContext& ctx) {
   std::uint64_t accesses = bench::QuickMode() ? 60'000 : 320'000;
@@ -74,11 +37,17 @@ void Run(RunContext& ctx) {
   std::vector<runner::GridCell> cells = runner::ExpandGrid(grid);
 
   // Every (benchmark, config) run — including the 100% baselines — is an
-  // independent simulation; fan them all out at once, timing each cell.
-  auto timed = ctx.engine.MapCellsTimed(grid, [&](const runner::GridCell& cell) {
-    return RunOnce(PlatformConfig(cell.platform), SplashKindByName(cell.variant),
-                   cell.mode == "clone", cell.colour_fraction, accesses);
-  });
+  // independent simulation. The benchmarks of one (platform, mode, colour
+  // fraction) differ only in their working set, so each such group runs
+  // as one buffer ladder, timing each cell.
+  auto build = [](const runner::GridCell& cell) {
+    return attacks::SetUpSplashSolo(PlatformConfig(cell.platform), cell.mode == "clone",
+                                    cell.colour_fraction);
+  };
+  auto run_cell = [accesses](attacks::SplashSetup& setup, const runner::GridCell& cell) {
+    return attacks::RunSplashSolo(setup, SplashKindByName(cell.variant), accesses);
+  };
+  auto timed = MapSplashLadders(ctx.pool, cells, build, run_cell);
   std::vector<double> cycles;
   cycles.reserve(timed.size());
   for (const auto& t : timed) {

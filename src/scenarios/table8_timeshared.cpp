@@ -13,14 +13,12 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "core/domain.hpp"
-#include "core/padding.hpp"
+#include "attacks/splash_cost.hpp"
 #include "core/time_protection.hpp"
-#include "hw/machine.hpp"
-#include "kernel/kernel.hpp"
 #include "runner/quick.hpp"
 #include "scenarios/scenario.hpp"
 #include "scenarios/scenario_util.hpp"
@@ -29,44 +27,6 @@
 
 namespace tp::scenarios {
 namespace {
-
-// Accesses completed while time-sharing with an idle domain for `slices`.
-std::uint64_t RunTimeShared(const hw::MachineConfig& mc, workloads::SplashKind kind,
-                            core::Scenario scenario, bool pad, double colour_fraction,
-                            std::size_t slices) {
-  hw::Machine machine(mc);
-  kernel::KernelConfig kc = core::MakeKernelConfig(scenario, machine, /*timeslice_ms=*/1.0);
-  kc.pad_switches = pad;
-  kernel::Kernel kernel(machine, kc);
-  core::DomainManager mgr(kernel);
-
-  std::vector<std::set<std::size_t>> colours(2);
-  if (kc.clone_support) {
-    colours = core::SplitColours(mc, 2, colour_fraction);
-  }
-  hw::Cycles pad_cycles = pad ? core::WorstCaseSwitchCycles(machine, kc.flush_mode) : 0;
-  core::Domain& work =
-      mgr.CreateDomain({.id = 1, .colours = colours[0], .pad_cycles = pad_cycles});
-  mgr.CreateDomain({.id = 2, .colours = colours[1], .pad_cycles = pad_cycles});
-  // Domain 2 stays idle (no threads): its kernel's idle thread runs.
-
-  core::MappedBuffer buf = mgr.AllocBuffer(work, workloads::WorkingSetBytes(kind, mc));
-  workloads::SplashProgram prog(kind, buf, 0x5B1A5);
-  mgr.StartThread(work, &prog, 100, 0);
-  kernel.SetDomainSchedule(0, {1, 2});
-
-  hw::Cycles slice = machine.MicrosToCycles(1000.0);
-  kernel.RunFor(4 * slice);  // warm up
-  std::uint64_t a0 = prog.accesses();
-  kernel.RunFor(slices * slice);
-  return prog.accesses() - a0;
-}
-
-struct CellOut {
-  std::uint64_t accesses = 0;
-  std::uint64_t wall_ns = 0;
-  hw::ContractTally contract;
-};
 
 struct PlatformSummary {
   double worst = -1e9;
@@ -112,33 +72,36 @@ void Run(RunContext& ctx) {
   prot_grid.modes = {"nopad", "protected"};
   prot_grid.colour_fractions = {1.0, 0.5};
 
-  auto run_cell = [&](const runner::GridCell& cell) {
-    CellOut out;
-    std::uint64_t t0 = bench::Recorder::NowNs();
-    hw::ContractCapture capture;
-    out.accesses = RunTimeShared(
-        PlatformConfig(cell.platform), SplashKindByName(cell.variant),
-        cell.mode == "raw" ? core::Scenario::kRaw : core::Scenario::kProtected,
-        cell.mode == "protected", cell.colour_fraction, slices);
-    out.contract = capture.Take();
-    out.wall_ns = bench::Recorder::NowNs() - t0;
-    return out;
-  };
   std::vector<runner::GridCell> base_cells = runner::ExpandGrid(base_grid);
   std::vector<runner::GridCell> prot_cells = runner::ExpandGrid(prot_grid);
-  std::vector<CellOut> base_out = ctx.engine.MapCells(base_grid, run_cell);
-  std::vector<CellOut> prot_out = ctx.engine.MapCells(prot_grid, run_cell);
+  // The benchmarks of one (platform, mode, colour fraction) differ only in
+  // their working set: each such group of either grid runs as one buffer
+  // ladder.
+  std::vector<runner::GridCell> cells = base_cells;
+  cells.insert(cells.end(), prot_cells.begin(), prot_cells.end());
+  auto build = [](const runner::GridCell& cell) {
+    return attacks::SetUpSplashTimeShared(
+        PlatformConfig(cell.platform),
+        cell.mode == "raw" ? core::Scenario::kRaw : core::Scenario::kProtected,
+        cell.mode == "protected", cell.colour_fraction);
+  };
+  auto run_cell = [slices](attacks::SplashSetup& setup, const runner::GridCell& cell) {
+    return attacks::RunSplashTimeShared(setup, SplashKindByName(cell.variant), slices);
+  };
+  auto out = MapSplashLadders(ctx.pool, cells, build, run_cell);
+  const std::span base_out = std::span(out).first(base_cells.size());
+  const std::span prot_out = std::span(out).subspan(base_cells.size());
 
   // Raw accesses per platform/benchmark, for the overhead ratios.
   std::map<std::string, std::uint64_t> baseline;
   for (std::size_t i = 0; i < base_cells.size(); ++i) {
-    baseline[base_cells[i].platform + "/" + base_cells[i].variant] = base_out[i].accesses;
+    baseline[base_cells[i].platform + "/" + base_cells[i].variant] = base_out[i].value;
     bench::BenchRecord rec{
         .cell = base_cells[i].Name(),
         .rounds = slices,
         .wall_ns = base_out[i].wall_ns,
         .threads = ctx.pool.threads(),
-        .metrics = {{"accesses", static_cast<double>(base_out[i].accesses)}}};
+        .metrics = {{"accesses", static_cast<double>(base_out[i].value)}}};
     runner::ApplyContract(rec, base_out[i].contract);
     ctx.recorder.Add(std::move(rec));
   }
@@ -148,14 +111,14 @@ void Run(RunContext& ctx) {
   for (std::size_t i = 0; i < prot_cells.size(); ++i) {
     const runner::GridCell& cell = prot_cells[i];
     std::uint64_t base = baseline.at(cell.platform + "/" + cell.variant);
-    double over = static_cast<double>(base) / static_cast<double>(prot_out[i].accesses) - 1.0;
+    double over = static_cast<double>(base) / static_cast<double>(prot_out[i].value) - 1.0;
     bench::BenchRecord rec{
         .cell = cell.Name(),
         .rounds = slices,
         .wall_ns = prot_out[i].wall_ns,
         .threads = ctx.pool.threads(),
         .metrics = {{"overhead", over},
-                    {"accesses", static_cast<double>(prot_out[i].accesses)}}};
+                    {"accesses", static_cast<double>(prot_out[i].value)}}};
     runner::ApplyContract(rec, prot_out[i].contract);
     ctx.recorder.Add(std::move(rec));
     summaries[cell.platform][cell.mode + Fmt(" cf=%.3g", cell.colour_fraction)].Fold(

@@ -5,9 +5,11 @@
 #include <random>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "core/colour.hpp"
 #include "core/time_protection.hpp"
+#include "fuzz/oracles.hpp"
 #include "hw/machine.hpp"
 #include "kernel/kernel.hpp"
 #include "support/test_support.hpp"
@@ -63,6 +65,90 @@ TEST_F(DomainManagerRandomised, AllocBufferRespectsDomainColours) {
     EXPECT_EQ(buf.PaddrOf(buf.base + page * hw::kPageSize + off),
               buf.pages[page].second + off);
   }
+}
+
+// What a buffer allocation leaves behind: the buffer, the domain's next
+// free address, and the simulated machine.
+struct AllocState {
+  MappedBuffer buffer;
+  hw::VAddr next_vaddr = 0;
+  hw::Cycles cycles = 0;
+  hw::PerfCounters counters;
+  std::uint64_t digest = 0;
+};
+
+// Maps one `bytes` buffer in a protected domain: in one AllocBuffer when
+// `steps` is empty, else as an empty buffer grown through `steps` and
+// then to `bytes`.
+AllocState Allocate(const hw::MachineConfig& config, std::size_t bytes,
+                    const std::vector<std::size_t>& steps) {
+  test::ScenarioSystem sys(Scenario::kProtected, {.config = config});
+  Domain& d = sys.manager.CreateDomain({.id = 1, .colours = sys.colours[0]});
+  AllocState s;
+  if (steps.empty()) {
+    s.buffer = sys.manager.AllocBuffer(d, bytes);
+  } else {
+    s.buffer = sys.manager.AllocBuffer(d, 0);
+    EXPECT_TRUE(s.buffer.pages.empty());
+    for (std::size_t step : steps) {
+      sys.manager.GrowBuffer(d, s.buffer, step);
+    }
+    sys.manager.GrowBuffer(d, s.buffer, bytes);
+  }
+  s.next_vaddr = d.next_vaddr;
+  s.cycles = sys.machine.core(0).now();
+  s.counters = sys.machine.core(0).counters();
+  s.digest = sys.machine.StateDigest();
+  return s;
+}
+
+void ExpectSameAllocation(const AllocState& a, const AllocState& b) {
+  EXPECT_EQ(a.buffer.base, b.buffer.base);
+  EXPECT_EQ(a.buffer.bytes, b.buffer.bytes);
+  EXPECT_EQ(a.buffer.pages, b.buffer.pages);
+  EXPECT_EQ(a.next_vaddr, b.next_vaddr);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(fuzz::DiffPerfCounters(a.counters, b.counters), "");
+  EXPECT_EQ(a.digest, b.digest);
+}
+
+TEST(DomainManager, GrowingABufferInStepsEqualsOneAllocation) {
+  for (const hw::MachineConfig& config :
+       {hw::MachineConfig::Haswell(1), hw::MachineConfig::Sabre(1)}) {
+    SCOPED_TRACE(config.name);
+    // Past one leaf table's 512 pages: the growth needs a new table frame.
+    constexpr std::size_t kBytes = 600 * hw::kPageSize;
+    const AllocState once = Allocate(config, kBytes, {});
+    ASSERT_EQ(once.buffer.pages.size(), kBytes / hw::kPageSize);
+    EXPECT_EQ(once.next_vaddr, once.buffer.base + kBytes + hw::kPageSize)
+        << "one guard page after the buffer";
+    // Unaligned, repeated and table-crossing steps all land the same.
+    const std::vector<std::size_t> steps = {100, 7 * hw::kPageSize, 7 * hw::kPageSize,
+                                            511 * hw::kPageSize, 513 * hw::kPageSize};
+    ExpectSameAllocation(Allocate(config, kBytes, steps), once);
+    ExpectSameAllocation(Allocate(config, kBytes, {kBytes}), once);
+  }
+}
+
+TEST(DomainManager, GrowBufferOnlyGrowsTheNewestAllocation) {
+  test::ScenarioSystem sys(Scenario::kProtected);
+  Domain& d = sys.manager.CreateDomain({.id = 1, .colours = sys.colours[0]});
+  MappedBuffer older = sys.manager.AllocBuffer(d, 2 * hw::kPageSize);
+  MappedBuffer newer = sys.manager.AllocBuffer(d, 0);
+  EXPECT_THROW(sys.manager.GrowBuffer(d, older, 4 * hw::kPageSize), std::logic_error);
+  EXPECT_THROW(sys.manager.GrowBuffer(d, older, 0), std::logic_error)
+      << "shrinking an older buffer is no better";
+
+  sys.manager.GrowBuffer(d, newer, 3 * hw::kPageSize);
+  EXPECT_THROW(sys.manager.GrowBuffer(d, newer, 2 * hw::kPageSize), std::logic_error)
+      << "a buffer cannot shrink";
+  EXPECT_EQ(newer.bytes, 3 * hw::kPageSize) << "a refused call changes nothing";
+  EXPECT_EQ(d.next_vaddr, newer.base + newer.bytes + hw::kPageSize);
+  EXPECT_EQ(newer.base, older.base + older.bytes + hw::kPageSize);
+
+  // A buffer of another domain is not this domain's newest allocation.
+  Domain& other = sys.manager.CreateDomain({.id = 2, .colours = sys.colours[1]});
+  EXPECT_THROW(sys.manager.GrowBuffer(other, newer, 4 * hw::kPageSize), std::logic_error);
 }
 
 TEST(DomainManager, SubdivideRejectsColoursOutsideParent) {
