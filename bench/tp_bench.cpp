@@ -39,12 +39,12 @@
 #include <string>
 #include <vector>
 
-#include "attacks/setup_cache.hpp"
 #include "faults/fault.hpp"
 #include "hw/core.hpp"
 #include "kernel/kernel.hpp"
 #include "runner/recorder.hpp"
 #include "runner/runner.hpp"
+#include "runner/sweep.hpp"
 #include "scenarios/driver.hpp"
 #include "scenarios/scenario.hpp"
 #include "trajectory/trajectory.hpp"
@@ -71,8 +71,8 @@ struct ProfileRow {
   // and the steps RunUntil fast-forwarded instead, in how many batches.
   tp::kernel::StepTally steps;
   // Experiment set-ups built from scratch and cloned from a held one
-  // (attacks::SetupSlot; implementation-level, reported only).
-  tp::attacks::SetupTally setups;
+  // (runner::CellSetup; implementation-level, reported only).
+  tp::runner::SetupTally setups;
 };
 
 void PrintProfile(const std::vector<ProfileRow>& rows, std::size_t threads) {
@@ -431,7 +431,7 @@ int main(int argc, char** argv) {
     // channel's simulated work.
     tp::hw::SimTally before = tp::hw::SimTallySnapshot();
     tp::kernel::StepTally steps_before = tp::kernel::StepTallySnapshot();
-    tp::attacks::SetupTally setups_before = tp::attacks::SetupTallySnapshot();
+    tp::runner::SetupTally setups_before = tp::runner::SetupTallySnapshot();
     std::uint64_t t0 = tp::bench::Recorder::NowNs();
     std::uint64_t rounds_run = 0;
     std::uint64_t rounds_budget = 0;
@@ -477,7 +477,7 @@ int main(int argc, char** argv) {
     if (profile) {
       tp::hw::SimTally after = tp::hw::SimTallySnapshot();
       tp::kernel::StepTally steps_after = tp::kernel::StepTallySnapshot();
-      tp::attacks::SetupTally setups_after = tp::attacks::SetupTallySnapshot();
+      tp::runner::SetupTally setups_after = tp::runner::SetupTallySnapshot();
       profile_rows.push_back(ProfileRow{
           spec->name, after.accesses - before.accesses, after.branches - before.branches,
           tp::bench::Recorder::NowNs() - t0, rounds_run, rounds_budget, adaptive,
@@ -485,7 +485,7 @@ int main(int argc, char** argv) {
               steps_after.step_calls - steps_before.step_calls,
               steps_after.fast_forward_steps - steps_before.fast_forward_steps,
               steps_after.fast_forward_batches - steps_before.fast_forward_batches},
-          tp::attacks::SetupTally{setups_after.built - setups_before.built,
+          tp::runner::SetupTally{setups_after.built - setups_before.built,
                                   setups_after.cloned - setups_before.cloned}});
     }
   }

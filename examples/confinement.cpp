@@ -15,10 +15,10 @@
 namespace {
 
 void RunScenario(tp::core::Scenario scenario) {
-  tp::attacks::Experiment exp = tp::attacks::MakeExperiment(
-      tp::hw::MachineConfig::Haswell(1), scenario, {.timeslice_ms = 0.25});
+  tp::attacks::ChannelSetup setup = tp::attacks::SetUpKernelChannel(tp::attacks::MakeExperiment(
+      tp::hw::MachineConfig::Haswell(1), scenario, {.timeslice_ms = 0.25}));
   tp::mi::Observations obs =
-      tp::attacks::RunKernelChannel(exp, /*rounds=*/600, /*seed=*/0xC0DE);
+      tp::attacks::RunKernelChannel(setup, /*rounds=*/600, /*seed=*/0xC0DE);
   tp::mi::LeakageOptions opt;
   opt.shuffles = 50;
   tp::mi::LeakageResult r = tp::mi::TestLeakage(obs, opt);

@@ -34,15 +34,21 @@ double FlushTimingReceiver::MeasureAndPrime(kernel::UserApi& api) {
 
 void FlushTimingReceiver::IdleEnd(hw::Cycles end) { online_end_ = end; }
 
-mi::Observations RunFlushChannel(Experiment& exp, const FlushChannelParams& params,
+ChannelSetup SetUpFlushChannel(Experiment exp) {
+  ChannelSetup setup{std::move(exp)};
+  setup.sender_buffer = setup.exp.manager->AllocBuffer(
+      *setup.exp.sender_domain, 2 * setup.exp.machine_config.l1d.size_bytes);
+  return setup;
+}
+
+mi::Observations RunFlushChannel(ChannelSetup& setup, const FlushChannelParams& params,
                                  std::size_t rounds, std::uint64_t seed) {
-  const hw::MachineConfig& mc = exp.machine_config;
+  Experiment& exp = setup.exp;
+  const hw::CacheGeometry& l1d = exp.machine_config.l1d;
+  const hw::Cycles gap = exp.SliceGapThreshold();
   std::size_t lines =
-      params.lines_per_symbol != 0 ? params.lines_per_symbol : mc.l1d.TotalLines() / 4;
-  hw::Cycles gap = exp.SliceGapThreshold();
-  core::MappedBuffer sbuf =
-      exp.manager->AllocBuffer(*exp.sender_domain, 2 * mc.l1d.size_bytes);
-  DirtyLineSender sender(sbuf, lines, mc.l1d.line_size, params.num_symbols, seed, gap);
+      params.lines_per_symbol != 0 ? params.lines_per_symbol : l1d.TotalLines() / 4;
+  DirtyLineSender sender(setup.sender_buffer, lines, l1d.line_size, params.num_symbols, seed, gap);
   FlushTimingReceiver receiver(params.observable, gap);
   exp.manager->StartThread(*exp.sender_domain, &sender, 120, 0);
   exp.manager->StartThread(*exp.receiver_domain, &receiver, 120, 0);

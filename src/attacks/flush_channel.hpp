@@ -13,6 +13,7 @@
 #include <cstdint>
 
 #include "attacks/channel_experiment.hpp"
+#include "attacks/setup_cache.hpp"
 #include "core/domain.hpp"
 
 namespace tp::attacks {
@@ -70,10 +71,13 @@ struct FlushChannelParams {
   TimingObservable observable = TimingObservable::kOffline;
 };
 
-// One shard of the flush channel (Fig. 5, Table 4, ablation): allocates a
-// sender buffer of twice the L1-D, wires DirtyLineSender +
-// FlushTimingReceiver into `exp` and collects the paired observations.
-mi::Observations RunFlushChannel(Experiment& exp, const FlushChannelParams& params,
+// The seed-free set-up of the flush channel (Fig. 5, Table 4, ablation):
+// a sender buffer of twice the L1-D, in `exp`.
+ChannelSetup SetUpFlushChannel(Experiment exp);
+
+// One shard on a SetUpFlushChannel set-up: wires DirtyLineSender +
+// FlushTimingReceiver into it and collects the paired observations.
+mi::Observations RunFlushChannel(ChannelSetup& setup, const FlushChannelParams& params,
                                  std::size_t rounds, std::uint64_t seed);
 
 }  // namespace tp::attacks

@@ -40,16 +40,23 @@ void InterruptSpy::IdleObserve() {
 
 void InterruptSpy::IdleEnd(hw::Cycles end) { prev_end_ = end; }
 
-mi::Observations RunInterruptChannel(Experiment& exp, const InterruptChannelParams& params,
+ChannelSetup SetUpInterruptChannel(Experiment exp, const InterruptChannelParams& params) {
+  ChannelSetup setup{std::move(exp)};
+  setup.sender_cap = setup.exp.manager->GrantCap(
+      *setup.exp.sender_domain,
+      setup.exp.kernel->boot_info().device_timers[params.device_timer]);
+  return setup;
+}
+
+mi::Observations RunInterruptChannel(ChannelSetup& setup, const InterruptChannelParams& params,
                                      std::size_t rounds, std::uint64_t seed) {
-  hw::Machine& m = *exp.machine;
-  hw::Cycles gap = exp.SliceGapThreshold();
-  double tick_us = exp.timeslice_ms * 1000.0;
-  kernel::CapIdx timer = exp.manager->GrantCap(
-      *exp.sender_domain, exp.kernel->boot_info().device_timers[params.device_timer]);
-  TimerTrojan trojan(timer, m.MicrosToCycles(params.base_delay_ticks * tick_us),
-                     m.MicrosToCycles(params.step_delay_ticks * tick_us),
-                     params.num_symbols, seed, gap);
+  Experiment& exp = setup.exp;
+  const hw::Machine& m = *exp.machine;
+  const hw::Cycles gap = exp.SliceGapThreshold();
+  const double tick_us = exp.timeslice_ms * 1000.0;
+  TimerTrojan trojan(setup.sender_cap, m.MicrosToCycles(params.base_delay_ticks * tick_us),
+                     m.MicrosToCycles(params.step_delay_ticks * tick_us), params.num_symbols,
+                     seed, gap);
   InterruptSpy spy(params.irq_gap, gap);
   exp.manager->StartThread(*exp.sender_domain, &trojan, 120, 0);
   exp.manager->StartThread(*exp.receiver_domain, &spy, 120, 0);

@@ -11,6 +11,7 @@
 #include <cstdint>
 
 #include "attacks/channel_experiment.hpp"
+#include "attacks/setup_cache.hpp"
 
 namespace tp::attacks {
 
@@ -70,12 +71,15 @@ struct InterruptChannelParams {
   std::size_t device_timer = 0;  // index into boot_info().device_timers
 };
 
-// One shard of the interrupt channel (Fig. 6, ablation): grants the
-// Trojan's timer cap, wires TimerTrojan + InterruptSpy into `exp` and
-// collects the paired observations (sample lag 1 — the spy reports slice i
-// at the start of slice i+1). The experiment must have been built with
-// `sender_device_timers` covering `device_timer`.
-mi::Observations RunInterruptChannel(Experiment& exp, const InterruptChannelParams& params,
+// The seed-free set-up of the interrupt channel (Fig. 6, ablation): the
+// Trojan's cap to `params.device_timer`, granted in `exp`, which must have
+// been built with `sender_device_timers` covering it.
+ChannelSetup SetUpInterruptChannel(Experiment exp, const InterruptChannelParams& params = {});
+
+// One shard on a SetUpInterruptChannel set-up: wires TimerTrojan +
+// InterruptSpy into it and collects the paired observations (sample lag 1
+// — the spy reports slice i at the start of slice i+1).
+mi::Observations RunInterruptChannel(ChannelSetup& setup, const InterruptChannelParams& params,
                                      std::size_t rounds, std::uint64_t seed);
 
 }  // namespace tp::attacks

@@ -28,67 +28,85 @@ bool ResourceAvailable(IntraCoreResource resource, const hw::MachineConfig& conf
   return resource != IntraCoreResource::kL2 || config.has_private_l2;
 }
 
-mi::Observations RunIntraCoreChannel(
-    const hw::MachineConfig& mc, core::Scenario scenario, IntraCoreResource resource,
-    std::size_t rounds, std::uint64_t seed,
-    const std::function<void(kernel::KernelConfig&)>& config_hook) {
-  double timeslice_ms = mc.arch == hw::Arch::kX86 ? 0.25 : 0.5;
+ExperimentOptions IntraCoreOptions(const hw::MachineConfig& config) {
   ExperimentOptions options;
-  options.timeslice_ms = timeslice_ms;
-  options.config_hook = config_hook;
-  Experiment exp = MakeExperiment(mc, scenario, options);
-  hw::Cycles gap = exp.SliceGapThreshold();
+  options.timeslice_ms = config.arch == hw::Arch::kX86 ? 0.25 : 0.5;
+  return options;
+}
+
+ChannelSetup SetUpIntraCoreChannel(Experiment exp, IntraCoreResource resource) {
+  ChannelSetup setup{std::move(exp)};
+  const hw::MachineConfig& mc = setup.exp.machine_config;
+  core::DomainManager& manager = *setup.exp.manager;
+  switch (resource) {
+    case IntraCoreResource::kL1D:
+    case IntraCoreResource::kL1I:
+    case IntraCoreResource::kL2: {
+      // An eviction set over every set of the private cache, from a
+      // receiver buffer of twice its size; L1s are virtually indexed.
+      const bool l1 = resource != IntraCoreResource::kL2;
+      const hw::CacheGeometry& g =
+          !l1 ? mc.l2 : (resource == IntraCoreResource::kL1I ? mc.l1i : mc.l1d);
+      setup.receiver_buffer =
+          manager.AllocBuffer(*setup.exp.receiver_domain, 2 * g.size_bytes);
+      std::set<std::size_t> sets;
+      for (std::size_t s = 0; s < g.SetsPerSlice(); ++s) {
+        sets.insert(s);
+      }
+      hw::SetAssociativeCache model("m", g,
+                                    l1 ? hw::Indexing::kVirtual : hw::Indexing::kPhysical);
+      setup.eviction_set =
+          EvictionSet::Build(model, setup.receiver_buffer, sets, g.associativity, l1);
+      setup.sender_buffer = manager.AllocBuffer(*setup.exp.sender_domain, 2 * g.size_bytes);
+      break;
+    }
+    case IntraCoreResource::kTlb: {
+      const std::size_t bytes = mc.l2tlb.entries * hw::kPageSize;
+      setup.receiver_buffer = manager.AllocBuffer(*setup.exp.receiver_domain, bytes);
+      setup.sender_buffer = manager.AllocBuffer(*setup.exp.sender_domain, bytes);
+      break;
+    }
+    case IntraCoreResource::kBtb:
+    case IntraCoreResource::kBhb:
+      break;  // the predictors are indexed by PC alone: nothing to map
+  }
+  return setup;
+}
+
+mi::Observations RunIntraCoreChannel(ChannelSetup& setup, IntraCoreResource resource,
+                                     std::size_t rounds, std::uint64_t seed) {
+  Experiment& exp = setup.exp;
+  const hw::MachineConfig& mc = exp.machine_config;
+  const hw::Cycles gap = exp.SliceGapThreshold();
 
   std::unique_ptr<SymbolSender> sender;
   std::unique_ptr<SliceReceiver> receiver;
+  if (setup.eviction_set.has_value()) {  // a cache channel
+    receiver = std::make_unique<CacheProbeReceiver>(
+        *setup.eviction_set, resource == IntraCoreResource::kL1I, gap);
+  }
 
   switch (resource) {
     case IntraCoreResource::kL1D:
     case IntraCoreResource::kL1I: {
       bool instr = resource == IntraCoreResource::kL1I;
       const hw::CacheGeometry& l1 = instr ? mc.l1i : mc.l1d;
-      core::MappedBuffer rbuf =
-          exp.manager->AllocBuffer(*exp.receiver_domain, 2 * l1.size_bytes);
-      std::set<std::size_t> sets;
-      for (std::size_t s = 0; s < l1.SetsPerSlice(); ++s) {
-        sets.insert(s);
-      }
-      hw::SetAssociativeCache model("m", l1, hw::Indexing::kVirtual);
-      EvictionSet es = EvictionSet::Build(model, rbuf, sets, l1.associativity, true);
-      receiver = std::make_unique<CacheProbeReceiver>(std::move(es), instr, gap);
-      core::MappedBuffer sbuf =
-          exp.manager->AllocBuffer(*exp.sender_domain, 2 * l1.size_bytes);
-      sender = std::make_unique<CacheSetSender>(sbuf, l1.TotalLines() / 4, l1.line_size,
-                                                /*writes=*/!instr, instr, 4, seed, gap);
+      sender = std::make_unique<CacheSetSender>(setup.sender_buffer, l1.TotalLines() / 4,
+                                                l1.line_size, /*writes=*/!instr, instr, 4,
+                                                seed, gap);
       break;
     }
-    case IntraCoreResource::kL2: {
-      const hw::CacheGeometry& l2 = mc.l2;
-      core::MappedBuffer rbuf =
-          exp.manager->AllocBuffer(*exp.receiver_domain, 2 * l2.size_bytes);
-      std::set<std::size_t> sets;
-      for (std::size_t s = 0; s < l2.SetsPerSlice(); ++s) {
-        sets.insert(s);
-      }
-      hw::SetAssociativeCache model("m", l2, hw::Indexing::kPhysical);
-      EvictionSet es = EvictionSet::Build(model, rbuf, sets, l2.associativity, false);
-      receiver = std::make_unique<CacheProbeReceiver>(std::move(es), false, gap);
+    case IntraCoreResource::kL2:
       // Symbol = number of live prefetcher streams: collides with the
       // receiver's sets in the raw system, and survives as stream-table
       // state under time protection (the Table 3 residual).
-      core::MappedBuffer sbuf =
-          exp.manager->AllocBuffer(*exp.sender_domain, 2 * l2.size_bytes);
-      sender = std::make_unique<PrefetchTrainSender>(sbuf, l2.line_size, 4, seed, gap);
+      sender = std::make_unique<PrefetchTrainSender>(setup.sender_buffer, mc.l2.line_size, 4,
+                                                     seed, gap);
       break;
-    }
     case IntraCoreResource::kTlb: {
       std::size_t pages = mc.l2tlb.entries;
-      core::MappedBuffer rbuf =
-          exp.manager->AllocBuffer(*exp.receiver_domain, pages * hw::kPageSize);
-      receiver = std::make_unique<TlbProbeReceiver>(rbuf, pages, gap);
-      core::MappedBuffer sbuf =
-          exp.manager->AllocBuffer(*exp.sender_domain, pages * hw::kPageSize);
-      sender = std::make_unique<TlbSender>(sbuf, pages / 4, 4, seed, gap);
+      receiver = std::make_unique<TlbProbeReceiver>(setup.receiver_buffer, pages, gap);
+      sender = std::make_unique<TlbSender>(setup.sender_buffer, pages / 4, 4, seed, gap);
       break;
     }
     case IntraCoreResource::kBtb: {

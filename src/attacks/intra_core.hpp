@@ -5,9 +5,9 @@
 #define TP_ATTACKS_INTRA_CORE_HPP_
 
 #include <cstdint>
-#include <functional>
 
 #include "attacks/channel_experiment.hpp"
+#include "attacks/setup_cache.hpp"
 #include "mi/observations.hpp"
 
 namespace tp::attacks {
@@ -26,14 +26,18 @@ const char* ResourceName(IntraCoreResource resource);
 // True if the platform has the resource (the Sabre has no private L2).
 bool ResourceAvailable(IntraCoreResource resource, const hw::MachineConfig& config);
 
-// Runs the covert channel for `resource` in a fresh two-domain experiment
-// under `scenario`; returns the paired (symbol, measurement) observations.
-// `config_hook` mutates the kernel config after the scenario preset
-// (ablation studies).
-mi::Observations RunIntraCoreChannel(
-    const hw::MachineConfig& machine_config, core::Scenario scenario,
-    IntraCoreResource resource, std::size_t rounds, std::uint64_t seed,
-    const std::function<void(kernel::KernelConfig&)>& config_hook = nullptr);
+// The experiment options of the on-core channels (Tables 3 and 4) on
+// `config`: a 0.25 ms timeslice on x86, 0.5 ms on Arm.
+ExperimentOptions IntraCoreOptions(const hw::MachineConfig& config);
+
+// The seed-free set-up of the channel for `resource` in `exp`: whichever
+// of the receiver's buffer and eviction set and the sender's buffer it has.
+ChannelSetup SetUpIntraCoreChannel(Experiment exp, IntraCoreResource resource);
+
+// The seeded run on a SetUpIntraCoreChannel set-up for the same
+// `resource`: the paired (symbol, measurement) observations.
+mi::Observations RunIntraCoreChannel(ChannelSetup& setup, IntraCoreResource resource,
+                                     std::size_t rounds, std::uint64_t seed);
 
 }  // namespace tp::attacks
 

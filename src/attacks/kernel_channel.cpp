@@ -65,9 +65,18 @@ EvictionSet BuildKernelEvictionSet(Experiment& exp) {
   return EvictionSet::BuildSliced(llc, buffer, target_sets, g.associativity);
 }
 
-mi::Observations RunOn(Experiment& exp, EvictionSet eviction_set, hw::Cycles gap,
-                       std::size_t rounds, std::uint64_t seed) {
-  KernelProbeReceiver receiver(std::move(eviction_set), gap);
+}  // namespace
+
+ChannelSetup SetUpKernelChannel(Experiment exp) {
+  ChannelSetup setup{std::move(exp)};
+  setup.eviction_set = BuildKernelEvictionSet(setup.exp);
+  return setup;
+}
+
+mi::Observations RunKernelChannel(ChannelSetup& setup, std::size_t rounds, std::uint64_t seed) {
+  Experiment& exp = setup.exp;
+  const hw::Cycles gap = exp.SliceGapThreshold();
+  KernelProbeReceiver receiver(*setup.eviction_set, gap);
 
   // Sender-side objects, allocated from the sender's coloured pool.
   kernel::CapIdx notif_mgr = exp.manager->CreateNotification(*exp.sender_domain);
@@ -83,24 +92,6 @@ mi::Observations RunOn(Experiment& exp, EvictionSet eviction_set, hw::Cycles gap
   exp.manager->StartThread(*exp.receiver_domain, &receiver, 120, 0);
 
   return CollectObservations(exp, sender, receiver, rounds);
-}
-
-}  // namespace
-
-KernelChannelSetup SetUpKernelChannel(Experiment exp) {
-  EvictionSet es = BuildKernelEvictionSet(exp);
-  const hw::Cycles gap = exp.SliceGapThreshold();
-  return KernelChannelSetup{std::move(exp), std::move(es), gap};
-}
-
-mi::Observations RunKernelChannel(KernelChannelSetup& setup, std::size_t rounds,
-                                  std::uint64_t seed) {
-  return RunOn(setup.exp, setup.eviction_set, setup.slice_gap, rounds, seed);
-}
-
-mi::Observations RunKernelChannel(Experiment& exp, std::size_t rounds, std::uint64_t seed) {
-  EvictionSet es = BuildKernelEvictionSet(exp);
-  return RunOn(exp, std::move(es), exp.SliceGapThreshold(), rounds, seed);
 }
 
 }  // namespace tp::attacks

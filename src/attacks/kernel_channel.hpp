@@ -13,7 +13,7 @@
 
 #include "attacks/channel_experiment.hpp"
 #include "attacks/prime_probe.hpp"
-#include "mi/leakage_test.hpp"
+#include "attacks/setup_cache.hpp"
 #include "mi/observations.hpp"
 
 namespace tp::attacks {
@@ -56,27 +56,14 @@ class KernelProbeReceiver final : public SliceReceiver {
   EvictionSet eviction_set_;
 };
 
-// The seed-free part of the channel: the experiment with the receiver's
-// probe buffer mapped, the eviction set over the *boot* kernel's syscall
-// text windows (entry + Signal + SetPriority + Poll) and the slice gap.
-// Nothing in it depends on the seed, so one set-up serves every shard of
-// a grid cell through Clone (see SetupSlot).
-struct KernelChannelSetup {
-  Experiment exp;
-  EvictionSet eviction_set;
-  hw::Cycles slice_gap = 0;
-
-  KernelChannelSetup Clone() const { return {exp.Clone(), eviction_set, slice_gap}; }
-  void DetachTally() { exp.DetachTally(); }
-};
-KernelChannelSetup SetUpKernelChannel(Experiment exp);
+// The seed-free set-up: the receiver's probe buffer mapped and its
+// eviction set over the *boot* kernel's syscall text windows (entry +
+// Signal + SetPriority + Poll), in `exp`.
+ChannelSetup SetUpKernelChannel(Experiment exp);
 
 // The seeded run: the sender and its kernel objects, both threads, and
 // `rounds` paired observations.
-mi::Observations RunKernelChannel(KernelChannelSetup& setup, std::size_t rounds,
-                                  std::uint64_t seed);
-// Set-up and run in one, on `exp`.
-mi::Observations RunKernelChannel(Experiment& exp, std::size_t rounds, std::uint64_t seed);
+mi::Observations RunKernelChannel(ChannelSetup& setup, std::size_t rounds, std::uint64_t seed);
 
 }  // namespace tp::attacks
 

@@ -1,10 +1,9 @@
-// Build-once set-ups: when the seed-free part of an experiment (machine,
-// kernel, domains, probe buffers) is identical for every shard of a grid
-// cell, a SetupSlot builds it once and hands each shard a deep clone
-// (Experiment::Clone), the way the paper's Kernel_Clone makes a domain's
-// kernel by copying an image rather than rebuilding it. When set-ups
-// differ only in the size of their newest buffer, a buffer ladder
-// (RunBufferLadder) builds one and grows it from size to size.
+// Build-once set-ups: a channel's shards share a seed-free ChannelSetup,
+// built once per grid cell and deep-cloned into each shard
+// (runner::CellSetup, Experiment::Clone), the way the paper's Kernel_Clone
+// makes a domain's kernel by copying an image rather than rebuilding it.
+// Cells whose set-ups differ only in the size of their newest buffer share
+// one, grown from size to size (RunBufferLadder).
 #ifndef TP_ATTACKS_SETUP_CACHE_HPP_
 #define TP_ATTACKS_SETUP_CACHE_HPP_
 
@@ -13,70 +12,44 @@
 #include <cstdint>
 #include <numeric>
 #include <optional>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "attacks/channel_experiment.hpp"
+#include "attacks/prime_probe.hpp"
+#include "core/domain.hpp"
+#include "faults/fault.hpp"
 #include "hw/taint.hpp"
+#include "runner/sweep.hpp"
 
 namespace tp::attacks {
 
-// Process-wide tally of experiment set-ups: built from scratch, and
-// cloned from a held one. Reported by tp_bench --profile, never gated.
-struct SetupTally {
-  std::uint64_t built = 0;
-  std::uint64_t cloned = 0;
+// The seed-free part of a channel run, one plain type for every channel:
+// the experiment and whatever a channel's set-up maps before its seeded
+// run starts the sender and receiver threads. Each channel's SetUp*/Run*
+// pair says which fields it uses.
+struct ChannelSetup {
+  Experiment exp;
+  core::MappedBuffer receiver_buffer;
+  core::MappedBuffer sender_buffer;
+  std::optional<EvictionSet> eviction_set;  // the receiver's
+  kernel::CapIdx sender_cap = 0;            // a cap granted to the sender
+
+  ChannelSetup Clone() const {
+    return {exp.Clone(), receiver_buffer, sender_buffer, eviction_set, sender_cap};
+  }
+  void DetachTally() { exp.DetachTally(); }
 };
-SetupTally SetupTallySnapshot();
-void NoteSetupBuilt();
-void NoteSetupCloned();
 
 // Whether a set-up built now may be shared by later runs. Not under taint
 // tracking, fault injection or a global config override: a contract
 // checker and armed fault sites count events per build, and an override
-// can change between builds without changing the key.
-bool SetupSharingAllowed();
-
-// A one-slot cache of one set-up, meant to be thread_local so that
-// concurrent shards never share one. `Setup` provides Clone() and
-// DetachTally(). The held set-up is detached from the work tallies: every
-// clone tallies what a fresh build would, so per-pass work counts do not
-// depend on the cache.
-template <typename Setup>
-class SetupSlot {
- public:
-  // A set-up for `key`: a clone of the held one when it was built for
-  // `key`, else `build()`, which replaces the held one. `key` must name
-  // every input of `build` (the cell without its seed and rounds). When
-  // sharing is not allowed, returns `build()` and leaves the slot alone.
-  template <typename Build>
-  Setup Acquire(const std::string& key, Build&& build) {
-    if (!SetupSharingAllowed()) {
-      NoteSetupBuilt();
-      return build();
-    }
-    if (!held_.has_value() || key_ != key) {
-      held_.reset();  // one set-up alive at a time, besides the clones
-      held_.emplace(build());
-      held_->DetachTally();
-      key_ = key;
-      NoteSetupBuilt();
-    }
-    NoteSetupCloned();
-    return held_->Clone();
-  }
-
-  // Drops the held set-up (after its last use).
-  void Release() {
-    held_.reset();
-    key_.clear();
-  }
-
- private:
-  std::string key_;
-  std::optional<Setup> held_;
-};
+// can change between builds without changing the cell.
+inline bool SetupSharingAllowed() {
+  return !hw::TaintTrackingEnabled() && !faults::FaultInjectionEnabled() &&
+         !GlobalConfigOverrideSet();
+}
 
 // One cell of a buffer ladder: its result, the host time it took and the
 // contract tally it captured (all-zero when taint tracking is off).
@@ -124,12 +97,12 @@ auto RunBufferLadder(const std::vector<std::size_t>& sizes, Build&& build, Run&&
     hw::ContractCapture capture;
     if (!share || !setup.has_value()) {
       setup.emplace(build());
-      NoteSetupBuilt();
+      runner::NoteSetupBuilt();
     }
     setup->Grow(sizes[i]);
     if (share && k + 1 < order.size()) {
       Setup clone = setup->Clone();
-      NoteSetupCloned();
+      runner::NoteSetupCloned();
       cells[i].value = run(clone, i);
     } else {
       cells[i].value = run(*setup, i);

@@ -1,8 +1,12 @@
 // The clone oracle: an experiment cloned part-way through its set-up
-// (Experiment::Clone) must go on exactly as the experiment it was cloned
-// from, and as a fresh build that never was cloned. Each runs the rest of
-// the set-up and then a kernel-channel tail; every observation, clock,
-// perf counter, domain switch and the machine state digest must agree.
+// (Experiment::Clone, attacks::ChannelSetup::Clone) must go on exactly as
+// the experiment it was cloned from, and as a fresh build that never was
+// cloned. Each runs the rest of the set-up and then a channel tail: the
+// kernel channel over a small probe buffer, or the intra-core L1-D channel
+// (a receiver eviction set and a sender buffer) or the flush channel (a
+// sender buffer) through its own SetUp/Run pair, the set-up one more step
+// that the clone may come before or after. Every observation, clock, perf
+// counter, domain switch and the machine state digest must agree.
 #include <algorithm>
 #include <array>
 #include <memory>
@@ -12,8 +16,11 @@
 #include <vector>
 
 #include "attacks/channel_experiment.hpp"
+#include "attacks/flush_channel.hpp"
+#include "attacks/intra_core.hpp"
 #include "attacks/kernel_channel.hpp"
 #include "attacks/prime_probe.hpp"
+#include "attacks/setup_cache.hpp"
 #include "fuzz/oracles.hpp"
 #include "kernel/kernel.hpp"
 
@@ -32,21 +39,22 @@ attacks::Experiment Build(const CloneSpec& spec) {
       spec.scenario, options);
 }
 
-// An experiment plus the vspaces the ops retyped straight from the kernel's
+// A channel set-up (the bare experiment until a channel tail's set-up
+// step) plus the vspaces the ops retyped straight from the kernel's
 // untyped pool (their table frames come from the kernel, not from the
 // domain manager's coloured pools), and each domain's last buffer.
 struct Run {
-  attacks::Experiment exp;
+  attacks::ChannelSetup setup;
   std::vector<kernel::CapIdx> untyped_vspaces;
   std::array<core::MappedBuffer, 2> buffers;  // sender's, receiver's
 
-  Run Clone() const { return Run{exp.Clone(), untyped_vspaces, buffers}; }
+  Run Clone() const { return Run{setup.Clone(), untyped_vspaces, buffers}; }
 };
 
 // One set-up op: op % 6 picks it, bit 4 the domain, bit 5 a variant, bit 6
 // growth (buffers only), bits 8 and up its size.
 void ApplyOp(Run& run, std::uint64_t op) {
-  attacks::Experiment& exp = run.exp;
+  attacks::Experiment& exp = run.setup.exp;
   const std::size_t side = (op >> 4) & 1;
   core::Domain& domain = side != 0 ? *exp.receiver_domain : *exp.sender_domain;
   const bool variant = (op >> 5) & 1;
@@ -157,6 +165,44 @@ TailResult RunTail(attacks::Experiment& exp, const CloneSpec& spec) {
   return out;
 }
 
+// Set-up step `i`: op i, or past the ops, a channel tail's own set-up.
+void ApplyStep(Run& run, const CloneSpec& spec, std::size_t i) {
+  if (i < spec.ops.size()) {
+    ApplyOp(run, spec.ops[i]);
+  } else if (spec.tail == CloneSpec::Tail::kIntraCoreL1d) {
+    run.setup = attacks::SetUpIntraCoreChannel(std::move(run.setup.exp),
+                                               attacks::IntraCoreResource::kL1D);
+  } else {
+    run.setup = attacks::SetUpFlushChannel(std::move(run.setup.exp));
+  }
+}
+
+std::size_t NumSteps(const CloneSpec& spec) {
+  return spec.ops.size() + (spec.tail == CloneSpec::Tail::kKernel ? 0 : 1);
+}
+
+// The tail on the finished set-up: its observations and end state.
+TailResult RunChannelTail(Run& run, const CloneSpec& spec) {
+  constexpr std::size_t kRounds = 3;
+  if (spec.tail == CloneSpec::Tail::kKernel) {
+    return RunTail(run.setup.exp, spec);
+  }
+  const mi::Observations obs =
+      spec.tail == CloneSpec::Tail::kIntraCoreL1d
+          ? attacks::RunIntraCoreChannel(run.setup, attacks::IntraCoreResource::kL1D, kRounds,
+                                         spec.seed)
+          : attacks::RunFlushChannel(run.setup, {}, kRounds, spec.seed);
+  const attacks::Experiment& exp = run.setup.exp;
+  TailResult out;
+  out.symbols = obs.inputs();
+  out.samples = obs.outputs();
+  out.clocks.push_back(exp.machine->core(0).now());
+  out.counters.push_back(exp.machine->core(0).counters());
+  out.digest = exp.machine->StateDigest();
+  out.domain_switches = exp.kernel->domain_switches();
+  return out;
+}
+
 std::string Diff(const TailResult& a, const TailResult& ref) {
   if (a.symbols != ref.symbols) {
     return "symbols sent differ";
@@ -187,27 +233,28 @@ std::string Diff(const TailResult& a, const TailResult& ref) {
 }  // namespace
 
 std::string CompareClone(const CloneSpec& spec) {
-  const std::size_t split = std::min(spec.clone_point, spec.ops.size());
-  Run reference{Build(spec)};
-  for (std::uint64_t op : spec.ops) {
-    ApplyOp(reference, op);
+  const std::size_t steps = NumSteps(spec);
+  const std::size_t split = std::min(spec.clone_point, steps);
+  Run reference{{Build(spec)}};
+  for (std::size_t i = 0; i < steps; ++i) {
+    ApplyStep(reference, spec, i);
   }
-  const TailResult ref = RunTail(reference.exp, spec);
+  const TailResult ref = RunChannelTail(reference, spec);
   auto finish = [&](Run& run, const char* what) -> std::string {
-    for (std::size_t i = split; i < spec.ops.size(); ++i) {
-      ApplyOp(run, spec.ops[i]);
+    for (std::size_t i = split; i < steps; ++i) {
+      ApplyStep(run, spec, i);
     }
-    std::string why = Diff(RunTail(run.exp, spec), ref);
-    return why.empty() ? "" : std::string(what) + " (cloned at op " + std::to_string(split) +
+    std::string why = Diff(RunChannelTail(run, spec), ref);
+    return why.empty() ? "" : std::string(what) + " (cloned at step " + std::to_string(split) +
                                   "): " + why;
   };
 
   // The first clone finishes while its source is still alive (anything it
   // takes from the source shows in the source's run), the source next, and
   // the second clone only after the source is gone.
-  auto source = std::make_unique<Run>(Run{Build(spec)});
+  auto source = std::make_unique<Run>(Run{{Build(spec)}});
   for (std::size_t i = 0; i < split; ++i) {
-    ApplyOp(*source, spec.ops[i]);
+    ApplyStep(*source, spec, i);
   }
   Run first = source->Clone();
   Run second = source->Clone();

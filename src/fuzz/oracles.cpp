@@ -1409,7 +1409,7 @@ OracleResult RunQuiescent(const FuzzCase& c) {
 // ---------------------------------------------------------------------------
 
 // params: platform, placement, scenario, timeslice, colour fraction, clone
-// point; ops: the set-up ops.
+// point, tail (one core only; absent: the kernel tail); ops: the set-up ops.
 OracleResult RunClone(const FuzzCase& c) {
   ScopedTaint taint_off(false);
   CloneSpec spec;
@@ -1424,7 +1424,11 @@ OracleResult RunClone(const FuzzCase& c) {
   static constexpr double kFractions[] = {1.0, 0.5, 0.25};
   spec.colour_fraction = kFractions[Pick(c, 4, 3)];
   spec.ops = c.ops;
-  spec.clone_point = Pick(c, 5, c.ops.size() + 1);
+  if (spec.same_core) {
+    spec.tail = static_cast<CloneSpec::Tail>(Pick(c, 6, 3));
+  }
+  const std::size_t steps = c.ops.size() + (spec.tail == CloneSpec::Tail::kKernel ? 0 : 1);
+  spec.clone_point = Pick(c, 5, steps + 1);
   spec.seed = c.seed;
   const std::string diff = CompareClone(spec);
   if (diff.empty()) {
@@ -1526,7 +1530,7 @@ void GenerateQuiescent(Rng& rng, FuzzCase& c) {
 }
 
 void GenerateClone(Rng& rng, FuzzCase& c) {
-  for (int i = 0; i < 6; ++i) {
+  for (int i = 0; i < 7; ++i) {
     c.params.push_back(rng.Next());
   }
   const std::size_t n = 2 + rng.Below(9);

@@ -162,8 +162,13 @@ struct CloneSpec {
   // notifications, endpoints, vspaces from a domain's pool or the kernel's
   // untyped pool, frames mapped into the latter, and idle kernel runs.
   std::vector<std::uint64_t> ops;
-  std::size_t clone_point = 0;  // ops applied before the clone
-  std::uint64_t seed = 1;       // the tail's sender seed
+  // The tail: the kernel channel over a small probe buffer (after the
+  // ops), or a channel's own set-up (one more step after the ops) and run.
+  enum class Tail { kKernel, kIntraCoreL1d, kFlush };
+  Tail tail = Tail::kKernel;
+  // Steps (ops, then a channel tail's set-up) applied before the clone.
+  std::size_t clone_point = 0;
+  std::uint64_t seed = 1;  // the tail's sender seed
 };
 
 // "" when the source and the clone both finish like the reference build,

@@ -59,7 +59,7 @@ struct ChannelRun {
 };
 
 // The receiver of a cache channel over every set of `g`, as
-// RunIntraCoreChannel builds it.
+// SetUpIntraCoreChannel and RunIntraCoreChannel build it.
 std::unique_ptr<attacks::SliceReceiver> CacheReceiver(attacks::Experiment& exp,
                                                       const hw::CacheGeometry& g,
                                                       hw::Indexing indexing, bool instruction,

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 
@@ -34,14 +35,41 @@ std::uint64_t EffectiveCellBudgetNs(const SweepOptions& options) {
   return 0;
 }
 
-// Per-cell crash-isolation state shared by that cell's shards. code uses
-// first-wins CAS so the earliest failure names the cell's status; later
-// shards of a doomed cell early-return without running their bodies.
+std::atomic<std::uint64_t> g_setups_built{0};
+std::atomic<std::uint64_t> g_setups_cloned{0};
+thread_local CellSetupSlot* t_cell_slot = nullptr;
+
+// Per-cell state shared by that cell's shards: the crash-isolation status
+// and the set-up slot. code uses first-wins CAS so the earliest failure
+// names the cell's status; later shards of a doomed cell early-return
+// without running their bodies.
 struct CellState {
   std::atomic<int> code{0};  // 0 ok, 1 failed, 2 timeout
   std::atomic<std::uint64_t> wall{0};
   std::string error;  // guarded by the owning sweep's error mutex
+  CellSetupSlot slot;
+  std::atomic<std::size_t> shards_left{0};  // the slot goes when this reaches 0
 };
+
+// One CellState per cell, each expecting its plan's shards.
+std::vector<CellState> MakeCellStates(const std::vector<ShardPlan>& plans) {
+  std::vector<CellState> states(plans.size());
+  for (std::size_t c = 0; c < plans.size(); ++c) {
+    states[c].shards_left = plans[c].num_shards();
+  }
+  return states;
+}
+
+// Marks a cell failed (1) or timed out (2), first mark wins, and releases
+// its set-up: the cell's remaining shards will not run.
+void MarkCell(CellState& state, std::mutex& error_mu, int code, const std::string& message) {
+  int expected = 0;
+  if (state.code.compare_exchange_strong(expected, code)) {
+    std::lock_guard<std::mutex> lk(error_mu);
+    state.error = message;
+  }
+  state.slot.Release();
+}
 
 struct ShardOut {
   mi::Observations obs;
@@ -50,20 +78,25 @@ struct ShardOut {
 };
 
 // The crash-isolated shard body shared by the fixed and adaptive execution
-// paths: ambient fault seed, harness self-test sites, contract capture,
-// first-wins failure marking and the per-cell wall-time watchdog.
+// paths: ambient fault seed and set-up slot, harness self-test sites,
+// contract capture, first-wins failure marking, the per-cell wall-time
+// watchdog, and the slot's release after the cell's last shard.
 ShardOut RunShardIsolated(const GridCell& cell, const Shard& shard, CellState& state,
                           std::uint64_t budget_ns, const SweepEngine::CellShardFn& fn,
-                          const std::function<void(int, const std::string&)>& mark) {
+                          std::mutex& error_mu) {
   ShardOut out;
   if (state.code.load() != 0) {
     return out;  // the cell already failed or timed out; don't pile on
   }
   std::uint64_t t0 = bench::Recorder::NowNs();
+  auto mark = [&](int code, const std::string& message) {
+    MarkCell(state, error_mu, code, message);
+  };
   // Publish the cell's coordinate-keyed seed so fault sites latched by
   // structures this shard builds fire deterministically per (site, cell)
-  // at any host thread count.
+  // at any host thread count, and the cell's set-up slot.
   faults::ScopedCellSeed ambient(cell.seed);
+  ScopedCellSlot slot(&state.slot);
   const std::string cell_name = cell.Name();
   try {
     // Harness self-test sites: a deliberate shard exception and a
@@ -95,6 +128,9 @@ ShardOut RunShardIsolated(const GridCell& cell, const Shard& shard, CellState& s
     mark(2, "cell exceeded its " + std::to_string(budget_ns / 1000000ull) +
                 " ms wall-time budget");
   }
+  if (state.shards_left.fetch_sub(1) == 1) {
+    state.slot.Release();
+  }
   return out;
 }
 
@@ -112,15 +148,8 @@ std::vector<SweepCellResult> RunAdaptiveGrid(
     const std::vector<ShardPlan>& plans, std::size_t spec_rounds,
     const SweepEngine::CellShardFn& fn, const mi::LeakageOptions& leak_options,
     std::uint64_t budget_ns, const AdaptiveOptions& adaptive) {
-  std::vector<CellState> states(cells.size());
+  std::vector<CellState> states = MakeCellStates(plans);
   std::mutex error_mu;
-  auto mark = [&](std::size_t c, int code, const std::string& message) {
-    int expected = 0;
-    if (states[c].code.compare_exchange_strong(expected, code)) {
-      std::lock_guard<std::mutex> lk(error_mu);
-      states[c].error = message;
-    }
-  };
 
   struct Progress {
     mi::StreamingMiEstimator stream;
@@ -197,9 +226,7 @@ std::vector<SweepCellResult> RunAdaptiveGrid(
         runner.MapScheduled(tasks.size(), claim_order, [&](std::size_t i) {
           const std::size_t c = tasks[i].cell;
           return RunShardIsolated(cells[c], tasks[i].shard, states[c], budget_ns, fn,
-                                  [&](int code, const std::string& message) {
-                                    mark(c, code, message);
-                                  });
+                                  error_mu);
         });
     // Barrier reached: fold this wave into each cell's prefix, in cell
     // order (outs are in task-index order regardless of thread count).
@@ -256,6 +283,7 @@ std::vector<SweepCellResult> RunAdaptiveGrid(
       progress[c].interval = checks[k].interval;
       progress[c].has_interval = true;
       if (checks[k].decision != 0) {
+        states[c].slot.Release();
         progress[c].stopped = true;
         progress[c].leakage = checks[k].leakage;
         progress[c].has_leakage = true;
@@ -315,6 +343,30 @@ std::vector<SweepCellResult> RunAdaptiveGrid(
 }
 
 }  // namespace
+
+SetupTally SetupTallySnapshot() {
+  return SetupTally{g_setups_built.load(std::memory_order_relaxed),
+                    g_setups_cloned.load(std::memory_order_relaxed)};
+}
+
+void NoteSetupBuilt() { g_setups_built.fetch_add(1, std::memory_order_relaxed); }
+
+void NoteSetupCloned() { g_setups_cloned.fetch_add(1, std::memory_order_relaxed); }
+
+void CellSetupSlot::Release() {
+  std::shared_ptr<const void> dropped;  // destroyed after the lock is let go
+  std::lock_guard<std::mutex> lock(mu_);
+  released_ = true;
+  dropped.swap(held_);
+}
+
+ScopedCellSlot::ScopedCellSlot(CellSetupSlot* slot) : saved_(t_cell_slot) {
+  t_cell_slot = slot;
+}
+
+ScopedCellSlot::~ScopedCellSlot() { t_cell_slot = saved_; }
+
+CellSetupSlot* CurrentCellSlot() { return t_cell_slot; }
 
 std::string GridCell::CoordKey() const {
   std::string key;
@@ -446,44 +498,47 @@ std::vector<SweepCellResult> SweepEngine::RunChannelGrid(
                                 plans[c].num_shards()}});
     }
   }
-  std::vector<CellState> states(cells.size());
+  std::vector<CellState> states = MakeCellStates(plans);
   std::mutex error_mu;
-  auto mark = [&](std::size_t c, int code, const std::string& message) {
-    int expected = 0;
-    if (states[c].code.compare_exchange_strong(expected, code)) {
-      std::lock_guard<std::mutex> lk(error_mu);
-      states[c].error = message;
-    }
-  };
-  // Longest-cell-first claim order: the cells whose longest shard has the
-  // most rounds are picked up first, so the round ranges of one slow cell
-  // spread across the pool instead of queueing behind the rest of the
-  // grid; within that, a cell's shards stay together in shard order, so a
-  // body that builds one set-up per cell (attacks::SetupSlot) builds it
-  // once on one thread. Scheduling only — every shard's seed, rounds and
-  // result slot are fixed by the plan above, so the merged observations
-  // stay bit-identical at any TP_THREADS.
+  // Claim order (scheduling only: every shard's seed, rounds and result
+  // slot are fixed by the plan above, so the merged observations stay
+  // bit-identical at any TP_THREADS). Longest cell first: the cells whose
+  // longest shard has the most rounds are picked up first, so the round
+  // ranges of one slow cell spread across the pool instead of queueing
+  // behind the rest of the grid. The cells then go in groups of one per
+  // host thread, their shards interleaved in shard order: the threads
+  // start by building different cells' set-ups, and only about as many
+  // cells as threads hold one in their slot at once (on one thread, a
+  // cell's shards run back to back).
   std::vector<std::size_t> longest(cells.size(), 0);
-  for (const ShardTask& task : tasks) {
-    longest[task.cell] = std::max(longest[task.cell], task.shard.rounds);
+  std::vector<std::size_t> first_task(cells.size(), 0);
+  for (std::size_t i = tasks.size(); i-- > 0;) {
+    longest[tasks[i].cell] = std::max(longest[tasks[i].cell], tasks[i].shard.rounds);
+    first_task[tasks[i].cell] = i;
   }
-  std::vector<std::size_t> claim_order(tasks.size());
-  for (std::size_t i = 0; i < claim_order.size(); ++i) {
-    claim_order[i] = i;
+  std::vector<std::size_t> cell_order(cells.size());
+  std::iota(cell_order.begin(), cell_order.end(), std::size_t{0});
+  std::stable_sort(cell_order.begin(), cell_order.end(),
+                   [&](std::size_t a, std::size_t b) { return longest[a] > longest[b]; });
+  std::vector<std::size_t> claim_order;
+  claim_order.reserve(tasks.size());
+  const std::size_t group = std::max<std::size_t>(runner_.threads(), 1);
+  for (std::size_t g = 0; g < cell_order.size(); g += group) {
+    const std::size_t end = std::min(g + group, cell_order.size());
+    for (std::size_t i = 0, claimed = 1; claimed > 0; ++i) {
+      claimed = 0;
+      for (std::size_t k = g; k < end; ++k) {
+        if (const std::size_t c = cell_order[k]; i < plans[c].num_shards()) {
+          claim_order.push_back(first_task[c] + i);
+          ++claimed;
+        }
+      }
+    }
   }
-  // Tasks are listed by cell, then shard: a stable sort keeps that order
-  // among cells with equal longest shards.
-  std::stable_sort(claim_order.begin(), claim_order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return longest[tasks[a].cell] > longest[tasks[b].cell];
-                   });
   std::vector<ShardOut> outs = runner_.MapScheduled(
       tasks.size(), claim_order, [&](std::size_t i) {
     const std::size_t c = tasks[i].cell;
-    return RunShardIsolated(cells[c], tasks[i].shard, states[c], budget_ns, fn,
-                            [&](int code, const std::string& message) {
-                              mark(c, code, message);
-                            });
+    return RunShardIsolated(cells[c], tasks[i].shard, states[c], budget_ns, fn, error_mu);
   });
 
   std::vector<SweepCellResult> results(cells.size());

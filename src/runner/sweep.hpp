@@ -11,15 +11,20 @@
 // SweepEngine fans every shard of every cell into one flat task pool on the
 // ExperimentRunner; as with RunShardedCells, the shard layout is a pure
 // function of the spec, so a grid's merged results are bit-identical at any
-// TP_THREADS.
+// TP_THREADS. A channel body builds the seed-free part of its cell once,
+// in the engine's slot for the cell, and runs every shard on a clone of it
+// (CellSetup).
 #ifndef TP_RUNNER_SWEEP_HPP_
 #define TP_RUNNER_SWEEP_HPP_
 
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "hw/taint.hpp"
@@ -161,6 +166,87 @@ struct SweepOptions {
 // under fault injection.
 AdaptiveOptions EffectiveAdaptive(const SweepOptions& options);
 
+// Process-wide tally of channel set-ups: built from scratch, and cloned
+// from a held one. Reported by tp_bench --profile, never gated.
+struct SetupTally {
+  std::uint64_t built = 0;
+  std::uint64_t cloned = 0;
+};
+SetupTally SetupTallySnapshot();
+void NoteSetupBuilt();
+void NoteSetupCloned();
+
+// One grid cell's seed-free set-up, shared by the cell's shards. The slot
+// builds the set-up once, for the first shard that asks, keeps it detached
+// from the work tallies and hands every shard a clone; each clone tallies
+// what a fresh build would, so per-pass work counts do not depend on the
+// slot. RunChannelGrid keeps one slot per cell and releases it when the
+// cell's last shard has run, when the cell fails or times out, or when it
+// stops early.
+class CellSetupSlot {
+ public:
+  // A clone of the held set-up, built by `build()` first when there is
+  // none; shards that ask meanwhile wait for that build. `Setup` provides
+  // DetachTally() and a Clone() const that may run concurrently on one
+  // object. Once released, the slot builds every set-up fresh.
+  template <typename Build>
+  std::invoke_result_t<Build&> Acquire(Build&& build) {
+    using Setup = std::invoke_result_t<Build&>;
+    std::shared_ptr<const void> held;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (released_) {
+        lock.unlock();
+        NoteSetupBuilt();
+        return build();
+      }
+      if (held_ == nullptr) {
+        auto setup = std::make_shared<Setup>(build());
+        setup->DetachTally();
+        held_ = std::move(setup);
+        NoteSetupBuilt();
+      }
+      held = held_;  // keeps the set-up alive through a concurrent Release
+    }
+    NoteSetupCloned();
+    return static_cast<const Setup*>(held.get())->Clone();
+  }
+
+  // Drops the held set-up for good; clones already handed out live on.
+  void Release();
+
+ private:
+  std::mutex mu_;
+  bool released_ = false;
+  std::shared_ptr<const void> held_;
+};
+
+// Makes `slot` the calling thread's cell slot for the scope (the engine
+// wraps every shard body in one, as faults::ScopedCellSeed does the seed).
+class ScopedCellSlot {
+ public:
+  explicit ScopedCellSlot(CellSetupSlot* slot);
+  ~ScopedCellSlot();
+  ScopedCellSlot(const ScopedCellSlot&) = delete;
+  ScopedCellSlot& operator=(const ScopedCellSlot&) = delete;
+
+ private:
+  CellSetupSlot* saved_;
+};
+CellSetupSlot* CurrentCellSlot();
+
+// The set-up for the shard running on this thread: a clone from its cell's
+// slot, or a fresh `build()` outside a sweep or when `share` is false (a
+// set-up that must not be shared: attacks::SetupSharingAllowed).
+template <typename Build>
+std::invoke_result_t<Build&> CellSetup(bool share, Build&& build) {
+  if (CellSetupSlot* slot = CurrentCellSlot(); share && slot != nullptr) {
+    return slot->Acquire(std::forward<Build>(build));
+  }
+  NoteSetupBuilt();
+  return build();
+}
+
 class SweepEngine {
  public:
   explicit SweepEngine(const ExperimentRunner& runner) : runner_(runner) {}
@@ -169,10 +255,10 @@ class SweepEngine {
 
   // Channel sweeps: every shard of every cell joins one flat task pool;
   // per-cell leakage tests then fan out over the same pool. Each shard body
-  // runs under the cell's ambient fault seed and inside a crash-isolation
-  // harness: an exception (or a tripped per-cell watchdog) marks that cell
-  // "failed"/"timeout" and the sweep keeps going — it never throws out of a
-  // single cell's failure.
+  // runs under the cell's ambient fault seed and set-up slot (CellSetup),
+  // inside a crash-isolation harness: an exception (or a tripped per-cell
+  // watchdog) marks that cell "failed"/"timeout" and the sweep keeps going
+  // — it never throws out of a single cell's failure.
   std::vector<SweepCellResult> RunChannelGrid(const GridSpec& spec, const CellShardFn& fn,
                                               const mi::LeakageOptions& leak_options = {},
                                               const SweepOptions& options = {}) const;

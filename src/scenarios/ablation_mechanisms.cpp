@@ -11,7 +11,6 @@
 //   IRQ partitioning           interrupt channel (Fig. 6)      Req. 5
 //   BP flush (pre-IBC x86)     BTB channel (Table 3 / §6.1)    Req. 1
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <string>
 
@@ -40,56 +39,67 @@ const std::map<std::string, std::pair<const char*, const char*>>& Studies() {
   return studies;
 }
 
-mi::Observations CellShard(const runner::GridCell& cell, const runner::Shard& shard) {
+// Each leg's set-up, with the cell's mechanism removed through the kernel
+// config when the cell is "ablated".
+attacks::ChannelSetup SetUp(const runner::GridCell& cell) {
   const bool on = cell.mode == "protected";  // mechanism present?
+  const hw::MachineConfig haswell = hw::MachineConfig::Haswell(1);
+  auto make = [](const hw::MachineConfig& mc, const attacks::ExperimentOptions& opt) {
+    return attacks::MakeExperiment(mc, core::Scenario::kProtected, opt);
+  };
   if (cell.variant == "kernel-clone") {
     attacks::ExperimentOptions opt;
     opt.timeslice_ms = 0.25;
     if (!on) {
       opt.config_hook = [](kernel::KernelConfig& kc) { kc.clone_support = false; };
     }
-    attacks::Experiment exp =
-        attacks::MakeExperiment(hw::MachineConfig::Haswell(1), core::Scenario::kProtected, opt);
-    return attacks::RunKernelChannel(exp, shard.rounds, shard.seed);
+    return attacks::SetUpKernelChannel(make(haswell, opt));
   }
   if (cell.variant == "on-core-flush") {
-    std::function<void(kernel::KernelConfig&)> hook;
+    attacks::ExperimentOptions opt = attacks::IntraCoreOptions(haswell);
     if (!on) {
-      hook = [](kernel::KernelConfig& kc) { kc.flush_mode = kernel::FlushMode::kNone; };
+      opt.config_hook = [](kernel::KernelConfig& kc) { kc.flush_mode = kernel::FlushMode::kNone; };
     }
-    return attacks::RunIntraCoreChannel(hw::MachineConfig::Haswell(1),
-                                        core::Scenario::kProtected,
-                                        attacks::IntraCoreResource::kL1D, shard.rounds,
-                                        shard.seed, hook);
+    return attacks::SetUpIntraCoreChannel(make(haswell, opt), attacks::IntraCoreResource::kL1D);
   }
   if (cell.variant == "switch-padding") {
     attacks::ExperimentOptions opt;
     opt.timeslice_ms = 0.5;
     opt.disable_padding = !on;
-    attacks::Experiment exp =
-        attacks::MakeExperiment(hw::MachineConfig::Sabre(1), core::Scenario::kProtected, opt);
-    return attacks::RunFlushChannel(exp, {}, shard.rounds, shard.seed);
+    return attacks::SetUpFlushChannel(make(hw::MachineConfig::Sabre(1), opt));
   }
   if (cell.variant == "irq-partitioning") {
     attacks::ExperimentOptions opt;
     opt.timeslice_ms = 2.0;
     opt.sender_device_timers = {0};
     opt.config_hook = [on](kernel::KernelConfig& kc) { kc.partition_irqs = on; };
-    attacks::Experiment exp =
-        attacks::MakeExperiment(hw::MachineConfig::Haswell(1), core::Scenario::kProtected, opt);
-    return attacks::RunInterruptChannel(exp, {}, shard.rounds, shard.seed);
+    return attacks::SetUpInterruptChannel(make(haswell, opt));
   }
   if (cell.variant == "bp-flush") {
-    std::function<void(kernel::KernelConfig&)> hook;
+    attacks::ExperimentOptions opt = attacks::IntraCoreOptions(haswell);
     if (!on) {
-      hook = [](kernel::KernelConfig& kc) { kc.has_bp_flush = false; };
+      opt.config_hook = [](kernel::KernelConfig& kc) { kc.has_bp_flush = false; };
     }
-    return attacks::RunIntraCoreChannel(hw::MachineConfig::Haswell(1),
-                                        core::Scenario::kProtected,
-                                        attacks::IntraCoreResource::kBtb, shard.rounds,
-                                        shard.seed, hook);
+    return attacks::SetUpIntraCoreChannel(make(haswell, opt), attacks::IntraCoreResource::kBtb);
   }
   throw std::invalid_argument("unknown ablation variant: " + cell.variant);
+}
+
+mi::Observations Run(const runner::GridCell& cell, attacks::ChannelSetup& setup,
+                     const runner::Shard& shard) {
+  if (cell.variant == "kernel-clone") {
+    return attacks::RunKernelChannel(setup, shard.rounds, shard.seed);
+  }
+  if (cell.variant == "switch-padding") {
+    return attacks::RunFlushChannel(setup, {}, shard.rounds, shard.seed);
+  }
+  if (cell.variant == "irq-partitioning") {
+    return attacks::RunInterruptChannel(setup, {}, shard.rounds, shard.seed);
+  }
+  const attacks::IntraCoreResource resource = cell.variant == "bp-flush"
+                                                  ? attacks::IntraCoreResource::kBtb
+                                                  : attacks::IntraCoreResource::kL1D;
+  return attacks::RunIntraCoreChannel(setup, resource, shard.rounds, shard.seed);
 }
 
 std::vector<runner::GridSpec> Grids() {
@@ -137,7 +147,7 @@ const RegisterChannel registrar{{
     .contract = "protected cells clean; each ablated cell flags the exact structure its "
                 "removed mechanism scrubs",
     .grids = Grids,
-    .cell_shard = CellShard,
+    .cell_shard = ChannelShard(SetUp, Run),
     .leak_options = {.shuffles = 50},
     .report = Report,
 }};

@@ -9,7 +9,6 @@
 
 #include "attacks/channel_experiment.hpp"
 #include "attacks/kernel_channel.hpp"
-#include "attacks/setup_cache.hpp"
 #include "mi/channel_matrix.hpp"
 #include "runner/quick.hpp"
 #include "scenarios/scenario.hpp"
@@ -18,19 +17,13 @@
 namespace tp::scenarios {
 namespace {
 
-// Every shard of a cell runs on a clone of one set-up: nothing before the
-// sender depends on the seed. The slot is per thread; the sweep claims a
-// cell's shards together, so each cell is built once per thread that runs
-// it, and the last shard drops the set-up.
-mi::Observations CellShard(const runner::GridCell& cell, const runner::Shard& shard) {
-  thread_local attacks::SetupSlot<attacks::KernelChannelSetup> slot;
-  attacks::KernelChannelSetup setup = slot.Acquire(cell.CoordKey(), [&cell] {
-    return attacks::SetUpKernelChannel(attacks::MakeExperiment(
-        PlatformConfig(cell.platform), ScenarioByName(cell.mode), CellOptions(cell)));
-  });
-  if (shard.index + 1 == shard.count) {
-    slot.Release();
-  }
+attacks::ChannelSetup SetUp(const runner::GridCell& cell) {
+  return attacks::SetUpKernelChannel(attacks::MakeExperiment(
+      PlatformConfig(cell.platform), ScenarioByName(cell.mode), CellOptions(cell)));
+}
+
+mi::Observations Run(const runner::GridCell&, attacks::ChannelSetup& setup,
+                     const runner::Shard& shard) {
   return attacks::RunKernelChannel(setup, shard.rounds, shard.seed);
 }
 
@@ -69,7 +62,7 @@ const RegisterChannel registrar{{
     .kind = "channel",
     .contract = "protected cells clean; raw dirty (shared kernel image residue)",
     .grids = Grids,
-    .cell_shard = CellShard,
+    .cell_shard = ChannelShard(SetUp, Run),
     .leak_options = {.shuffles = 60},
     .report = Report,
 }};

@@ -19,19 +19,22 @@ namespace tp::scenarios {
 namespace {
 
 attacks::FlushChannelParams Params(const hw::MachineConfig& mc) {
-  attacks::FlushChannelParams params;
-  params.lines_per_symbol = mc.l1d.TotalLines() / 8;
-  params.num_symbols = 8;
-  params.observable = attacks::TimingObservable::kOffline;
-  return params;
+  return {.lines_per_symbol = mc.l1d.TotalLines() / 8,
+          .num_symbols = 8,
+          .observable = attacks::TimingObservable::kOffline};
 }
 
-mi::Observations CellShard(const runner::GridCell& cell, const runner::Shard& shard) {
-  hw::MachineConfig mc = PlatformConfig(cell.platform);
+attacks::ChannelSetup SetUp(const runner::GridCell& cell) {
   attacks::ExperimentOptions opt = CellOptions(cell);
   opt.disable_padding = cell.mode == "nopad";
-  attacks::Experiment exp = attacks::MakeExperiment(mc, core::Scenario::kProtected, opt);
-  return attacks::RunFlushChannel(exp, Params(mc), shard.rounds, shard.seed);
+  return attacks::SetUpFlushChannel(
+      attacks::MakeExperiment(PlatformConfig(cell.platform), core::Scenario::kProtected, opt));
+}
+
+mi::Observations Run(const runner::GridCell&, attacks::ChannelSetup& setup,
+                     const runner::Shard& shard) {
+  return attacks::RunFlushChannel(setup, Params(setup.exp.machine_config), shard.rounds,
+                                  shard.seed);
 }
 
 std::vector<runner::GridSpec> Grids() {
@@ -78,7 +81,7 @@ const RegisterChannel registrar{{
     .kind = "channel",
     .contract = "all cells clean (pure timing channel, no residue)",
     .grids = Grids,
-    .cell_shard = CellShard,
+    .cell_shard = ChannelShard(SetUp, Run),
     .leak_options = {.shuffles = 60},
     .report = Report,
 }};

@@ -16,12 +16,16 @@
 namespace tp::scenarios {
 namespace {
 
-mi::Observations CellShard(const runner::GridCell& cell, const runner::Shard& shard) {
+attacks::ChannelSetup SetUp(const runner::GridCell& cell) {
   attacks::ExperimentOptions opt = CellOptions(cell);
   opt.sender_device_timers = {0};
-  attacks::Experiment exp = attacks::MakeExperiment(PlatformConfig(cell.platform),
-                                                    ScenarioByName(cell.mode), opt);
-  return attacks::RunInterruptChannel(exp, {}, shard.rounds, shard.seed);
+  return attacks::SetUpInterruptChannel(
+      attacks::MakeExperiment(PlatformConfig(cell.platform), ScenarioByName(cell.mode), opt));
+}
+
+mi::Observations Run(const runner::GridCell&, attacks::ChannelSetup& setup,
+                     const runner::Shard& shard) {
+  return attacks::RunInterruptChannel(setup, {}, shard.rounds, shard.seed);
 }
 
 std::vector<runner::GridSpec> Grids() {
@@ -56,7 +60,7 @@ const RegisterChannel registrar{{
     .kind = "channel",
     .contract = "partitioned cells clean; raw dirty (foreign interrupt residue)",
     .grids = Grids,
-    .cell_shard = CellShard,
+    .cell_shard = ChannelShard(SetUp, Run),
     .leak_options = {.shuffles = 50},
     .report = Report,
 }};

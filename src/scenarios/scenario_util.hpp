@@ -69,6 +69,19 @@ inline attacks::ExperimentOptions CellOptions(const runner::GridCell& cell) {
   return opt;
 }
 
+// A channel's shard body from its seed-free `set_up(cell)` and its seeded
+// `run(cell, setup, shard)`, which may use the set-up up. Each cell's
+// set-up is built once, in the sweep engine's slot, and every shard runs
+// on a clone (runner::CellSetup) while attacks::SetupSharingAllowed().
+template <typename SetUp, typename Run>
+runner::SweepEngine::CellShardFn ChannelShard(SetUp set_up, Run run) {
+  return [set_up, run](const runner::GridCell& cell, const runner::Shard& shard) {
+    attacks::ChannelSetup setup =
+        runner::CellSetup(attacks::SetupSharingAllowed(), [&] { return set_up(cell); });
+    return run(cell, setup, shard);
+  };
+}
+
 // Runs the cells of a Splash cost grid as buffer ladders: the cells that
 // differ only in their benchmark (the variant axis) share a set-up,
 // `build(cell)`, grown through the benchmarks' working sets

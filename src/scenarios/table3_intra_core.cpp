@@ -31,10 +31,17 @@ attacks::IntraCoreResource ResourceByName(const std::string& name) {
   throw std::invalid_argument("unknown intra-core resource: " + name);
 }
 
-mi::Observations CellShard(const runner::GridCell& cell, const runner::Shard& shard) {
-  return attacks::RunIntraCoreChannel(PlatformConfig(cell.platform),
-                                      ScenarioByName(cell.mode), ResourceByName(cell.variant),
-                                      shard.rounds, shard.seed);
+attacks::ChannelSetup SetUp(const runner::GridCell& cell) {
+  const hw::MachineConfig mc = PlatformConfig(cell.platform);
+  return attacks::SetUpIntraCoreChannel(
+      attacks::MakeExperiment(mc, ScenarioByName(cell.mode), attacks::IntraCoreOptions(mc)),
+      ResourceByName(cell.variant));
+}
+
+mi::Observations Run(const runner::GridCell& cell, attacks::ChannelSetup& setup,
+                     const runner::Shard& shard) {
+  return attacks::RunIntraCoreChannel(setup, ResourceByName(cell.variant), shard.rounds,
+                                      shard.seed);
 }
 
 std::vector<runner::GridSpec> Grids() {
@@ -112,7 +119,7 @@ const RegisterChannel registrar{{
     .kind = "channel",
     .contract = "full-flush and protected cells clean; raw dirty by design",
     .grids = Grids,
-    .cell_shard = CellShard,
+    .cell_shard = ChannelShard(SetUp, Run),
     .leak_options = {.shuffles = 50},
     .report = Report,
 }};

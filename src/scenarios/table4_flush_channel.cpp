@@ -10,6 +10,7 @@
 
 #include "attacks/channel_experiment.hpp"
 #include "attacks/flush_channel.hpp"
+#include "attacks/intra_core.hpp"
 #include "core/padding.hpp"
 #include "runner/quick.hpp"
 #include "scenarios/scenario.hpp"
@@ -19,16 +20,20 @@
 namespace tp::scenarios {
 namespace {
 
-mi::Observations CellShard(const runner::GridCell& cell, const runner::Shard& shard) {
+attacks::ChannelSetup SetUp(const runner::GridCell& cell) {
   hw::MachineConfig mc = PlatformConfig(cell.platform);
-  attacks::ExperimentOptions opt;
-  opt.timeslice_ms = mc.arch == hw::Arch::kX86 ? 0.25 : 0.5;
+  attacks::ExperimentOptions opt = attacks::IntraCoreOptions(mc);
   opt.disable_padding = cell.mode == "nopad";
-  attacks::Experiment exp = attacks::MakeExperiment(mc, core::Scenario::kProtected, opt);
-  attacks::FlushChannelParams params;
-  params.observable = cell.variant == "Online" ? attacks::TimingObservable::kOnline
-                                               : attacks::TimingObservable::kOffline;
-  return attacks::RunFlushChannel(exp, params, shard.rounds, shard.seed);
+  return attacks::SetUpFlushChannel(
+      attacks::MakeExperiment(mc, core::Scenario::kProtected, opt));
+}
+
+mi::Observations Run(const runner::GridCell& cell, attacks::ChannelSetup& setup,
+                     const runner::Shard& shard) {
+  const attacks::FlushChannelParams params{
+      .observable = cell.variant == "Online" ? attacks::TimingObservable::kOnline
+                                             : attacks::TimingObservable::kOffline};
+  return attacks::RunFlushChannel(setup, params, shard.rounds, shard.seed);
 }
 
 std::vector<runner::GridSpec> Grids() {
@@ -77,7 +82,7 @@ const RegisterChannel registrar{{
     .kind = "channel",
     .contract = "all cells clean (pure timing channel, no residue)",
     .grids = Grids,
-    .cell_shard = CellShard,
+    .cell_shard = ChannelShard(SetUp, Run),
     .leak_options = {.shuffles = 50},
     .report = Report,
 }};

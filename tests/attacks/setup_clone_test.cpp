@@ -1,17 +1,24 @@
 // The clone contract behind build-once set-ups (Experiment::Clone,
-// attacks::SetupSlot, attacks::RunBufferLadder): a shard run on a clone of
-// a set-up equals the same shard on a fresh build, cloning leaves the
-// source as it was, a held set-up never feeds the process-wide work
-// tallies, and every cell of a buffer ladder runs and tallies exactly as
-// a fresh build of that cell.
+// ChannelSetup, runner::CellSetup, attacks::RunBufferLadder): a shard run
+// on a clone of a set-up equals the same shard on a fresh build, in its
+// observations and in the work it tallies; cloning leaves the source as it
+// was; a held set-up never feeds the process-wide work tallies; a cell
+// slot builds once and is bypassed when set-ups must not be shared; and
+// every cell of a buffer ladder runs and tallies exactly as a fresh build
+// of that cell.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "attacks/channel_experiment.hpp"
+#include "attacks/flush_channel.hpp"
+#include "attacks/interrupt_channel.hpp"
+#include "attacks/intra_core.hpp"
 #include "attacks/kernel_channel.hpp"
 #include "attacks/setup_cache.hpp"
 #include "attacks/splash_cost.hpp"
@@ -22,10 +29,14 @@
 #include "hw/taint.hpp"
 #include "kernel/kernel.hpp"
 #include "runner/runner.hpp"
+#include "runner/sweep.hpp"
 #include "workloads/splash.hpp"
 
 namespace tp::attacks {
 namespace {
+
+using runner::SetupTally;
+using runner::SetupTallySnapshot;
 
 // Forces taint tracking for a scope, restoring the previous setting.
 class ScopedTaint {
@@ -43,6 +54,32 @@ class ScopedTaint {
 
 constexpr std::size_t kRounds = 6;
 constexpr std::uint64_t kSeed = 0x5EED;
+
+// The process-wide work tallies.
+struct Tallies {
+  hw::SimTally sim;
+  kernel::StepTally steps;
+
+  static Tallies Now() { return {hw::SimTallySnapshot(), kernel::StepTallySnapshot()}; }
+  Tallies operator+(const Tallies& o) const {
+    return {{sim.accesses + o.sim.accesses, sim.branches + o.sim.branches},
+            {steps.step_calls + o.steps.step_calls,
+             steps.fast_forward_steps + o.steps.fast_forward_steps,
+             steps.fast_forward_batches + o.steps.fast_forward_batches}};
+  }
+  Tallies operator-(const Tallies& o) const {
+    return {{sim.accesses - o.sim.accesses, sim.branches - o.sim.branches},
+            {steps.step_calls - o.steps.step_calls,
+             steps.fast_forward_steps - o.steps.fast_forward_steps,
+             steps.fast_forward_batches - o.steps.fast_forward_batches}};
+  }
+  bool operator==(const Tallies& o) const {
+    return sim.accesses == o.sim.accesses && sim.branches == o.sim.branches &&
+           steps.step_calls == o.steps.step_calls &&
+           steps.fast_forward_steps == o.steps.fast_forward_steps &&
+           steps.fast_forward_batches == o.steps.fast_forward_batches;
+  }
+};
 
 // One fig3 cell kind. Plain values only: gtest prints a parameter's bytes
 // into the test's full name, so a pointer member would put a load address
@@ -73,7 +110,7 @@ std::string KindName(const CellKind& kind) {
   return name;
 }
 
-KernelChannelSetup BuildSetup(const CellKind& kind) {
+ChannelSetup BuildSetup(const CellKind& kind) {
   ExperimentOptions options;
   options.timeslice_ms = kind.timeslice_ms;
   options.colour_fraction = kind.colour_fraction;
@@ -112,7 +149,7 @@ void ExpectSame(const State& a, const State& b, const std::string& what) {
   EXPECT_EQ(a.domain_switches, b.domain_switches) << what;
 }
 
-State RunShard(KernelChannelSetup& setup) {
+State RunShard(ChannelSetup& setup) {
   mi::Observations obs = RunKernelChannel(setup, kRounds, kSeed);
   return Snapshot(setup.exp, obs);
 }
@@ -123,13 +160,13 @@ class SetupClone : public ::testing::TestWithParam<CellKind> {
 };
 
 TEST_P(SetupClone, CloneRunsLikeAFreshBuildAndLeavesTheSourceAlone) {
-  KernelChannelSetup fresh = BuildSetup(GetParam());
+  ChannelSetup fresh = BuildSetup(GetParam());
   const State fresh_result = RunShard(fresh);
   ASSERT_GT(fresh_result.inputs.size(), 0u);
 
-  KernelChannelSetup source = BuildSetup(GetParam());
+  ChannelSetup source = BuildSetup(GetParam());
   const State source_before = Snapshot(source.exp);
-  KernelChannelSetup clone = source.Clone();
+  ChannelSetup clone = source.Clone();
   ExpectSame(Snapshot(clone.exp), source_before, "clone at the clone point");
 
   const State clone_result = RunShard(clone);
@@ -138,7 +175,7 @@ TEST_P(SetupClone, CloneRunsLikeAFreshBuildAndLeavesTheSourceAlone) {
 
   // A second clone, made after the first one ran, and the source itself
   // both still run the shard exactly.
-  KernelChannelSetup second = source.Clone();
+  ChannelSetup second = source.Clone();
   ExpectSame(RunShard(second), fresh_result, "second clone");
   ExpectSame(RunShard(source), fresh_result, "source run after cloning");
 }
@@ -148,7 +185,7 @@ TEST_P(SetupClone, HeldSetupNeverFeedsTheTallies) {
   const kernel::StepTally steps0 = kernel::StepTallySnapshot();
   hw::PerfCounters setup_counters;
   {
-    KernelChannelSetup held = BuildSetup(GetParam());
+    ChannelSetup held = BuildSetup(GetParam());
     held.DetachTally();
     setup_counters = held.exp.machine->core(0).counters();
     RunShard(held);  // even work done on a detached set-up stays out
@@ -162,10 +199,10 @@ TEST_P(SetupClone, HeldSetupNeverFeedsTheTallies) {
 
   // A clone of a detached set-up tallies what a fresh build would: the
   // set-up's own work plus whatever the clone runs.
-  KernelChannelSetup held = BuildSetup(GetParam());
+  ChannelSetup held = BuildSetup(GetParam());
   held.DetachTally();
   const hw::SimTally sim2 = hw::SimTallySnapshot();
-  { KernelChannelSetup unrun = held.Clone(); }
+  { ChannelSetup unrun = held.Clone(); }
   const hw::SimTally sim3 = hw::SimTallySnapshot();
   EXPECT_EQ(sim3.accesses - sim2.accesses,
             setup_counters.reads + setup_counters.writes + setup_counters.fetches);
@@ -177,10 +214,131 @@ INSTANTIATE_TEST_SUITE_P(Fig3Cells, SetupClone, ::testing::ValuesIn(kKinds),
                            return KindName(info.param);
                          });
 
+// --- Every other channel's set-up kind --------------------------------------
+
+// One channel set-up kind: how a cell builds it and how a shard runs on it.
+struct ChannelKind {
+  std::string name;
+  std::function<ChannelSetup()> build;
+  std::function<mi::Observations(ChannelSetup&)> run;
+};
+
+// Names the kind in test ids (the default prints the struct's bytes).
+void PrintTo(const ChannelKind& kind, std::ostream* os) { *os << kind.name; }
+
+// Every intra-core resource on both platforms (the Haswell L2 and TLB
+// included), the flush channel's observables with and without padding, and
+// the interrupt channel raw and partitioned.
+std::vector<ChannelKind> ChannelKinds() {
+  std::vector<ChannelKind> kinds;
+  for (const bool sabre : {false, true}) {
+    const hw::MachineConfig mc =
+        sabre ? hw::MachineConfig::Sabre(1) : hw::MachineConfig::Haswell(1);
+    for (const IntraCoreResource r :
+         {IntraCoreResource::kL1D, IntraCoreResource::kL1I, IntraCoreResource::kTlb,
+          IntraCoreResource::kBtb, IntraCoreResource::kBhb, IntraCoreResource::kL2}) {
+      if (!ResourceAvailable(r, mc)) {
+        continue;
+      }
+      std::string name =
+          std::string(sabre ? "Sabre" : "Haswell") + "IntraCore" + ResourceName(r);
+      name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
+      kinds.push_back({name,
+                       [mc, r] {
+                         return SetUpIntraCoreChannel(
+                             MakeExperiment(mc, core::Scenario::kRaw, IntraCoreOptions(mc)), r);
+                       },
+                       [r](ChannelSetup& setup) {
+                         return RunIntraCoreChannel(setup, r, kRounds, kSeed);
+                       }});
+    }
+  }
+  for (const bool online : {false, true}) {
+    for (const bool pad : {false, true}) {
+      FlushChannelParams params;
+      params.observable = online ? TimingObservable::kOnline : TimingObservable::kOffline;
+      kinds.push_back({std::string("SabreFlush") + (online ? "Online" : "Offline") +
+                           (pad ? "Protected" : "Nopad"),
+                       [pad] {
+                         ExperimentOptions opt;
+                         opt.timeslice_ms = 0.5;
+                         opt.disable_padding = !pad;
+                         return SetUpFlushChannel(MakeExperiment(
+                             hw::MachineConfig::Sabre(1), core::Scenario::kProtected, opt));
+                       },
+                       [params](ChannelSetup& setup) {
+                         return RunFlushChannel(setup, params, kRounds, kSeed);
+                       }});
+    }
+  }
+  for (const core::Scenario scenario : {core::Scenario::kRaw, core::Scenario::kProtected}) {
+    kinds.push_back({std::string("HaswellInterrupt") +
+                         (scenario == core::Scenario::kRaw ? "Raw" : "Protected"),
+                     [scenario] {
+                       ExperimentOptions opt;
+                       opt.timeslice_ms = 1.0;
+                       opt.sender_device_timers = {0};
+                       return SetUpInterruptChannel(
+                           MakeExperiment(hw::MachineConfig::Haswell(1), scenario, opt), {});
+                     },
+                     [](ChannelSetup& setup) {
+                       return RunInterruptChannel(setup, {}, kRounds, kSeed);
+                     }});
+  }
+  return kinds;
+}
+
+class ChannelSetupClone : public ::testing::TestWithParam<ChannelKind> {
+ private:
+  ScopedTaint taint_off_{false};
+};
+
+// A shard on a clone of a held (detached) set-up sees and tallies exactly
+// what the same shard on a fresh build does, set-up to teardown, and
+// leaves the held set-up as it was.
+TEST_P(ChannelSetupClone, RunsAndTalliesLikeAFreshBuild) {
+  const ChannelKind& kind = GetParam();
+  Tallies t0 = Tallies::Now();
+  State fresh;
+  {
+    ChannelSetup setup = kind.build();
+    const mi::Observations obs = kind.run(setup);
+    fresh = Snapshot(setup.exp, obs);
+  }
+  const Tallies fresh_work = Tallies::Now() - t0;
+  ASSERT_GT(fresh.inputs.size(), 0u);
+  ASSERT_GT(fresh_work.steps.step_calls, 0u);
+
+  ChannelSetup held = kind.build();
+  held.DetachTally();
+  const State held_before = Snapshot(held.exp);
+  for (const char* what : {"first clone", "second clone"}) {
+    t0 = Tallies::Now();
+    State cloned;
+    {
+      ChannelSetup clone = held.Clone();
+      const mi::Observations obs = kind.run(clone);
+      cloned = Snapshot(clone.exp, obs);
+    }
+    const Tallies clone_work = Tallies::Now() - t0;
+    ExpectSame(cloned, fresh, what);
+    EXPECT_TRUE(clone_work == fresh_work)
+        << what << ": accesses " << clone_work.sim.accesses << " vs "
+        << fresh_work.sim.accesses << ", step calls " << clone_work.steps.step_calls << " vs "
+        << fresh_work.steps.step_calls;
+    ExpectSame(Snapshot(held.exp), held_before, std::string("held set-up after the ") + what);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Channels, ChannelSetupClone, ::testing::ValuesIn(ChannelKinds()),
+                         [](const ::testing::TestParamInfo<ChannelKind>& info) {
+                           return info.param.name;
+                         });
+
 TEST(SetupCloneLimits, KernelWithAUserProgramCannotBeCloned) {
   ScopedTaint taint_off(false);
-  KernelChannelSetup setup = BuildSetup(kKinds[3]);
-  KernelProbeReceiver receiver(setup.eviction_set, setup.slice_gap);
+  ChannelSetup setup = BuildSetup(kKinds[3]);
+  KernelProbeReceiver receiver(*setup.eviction_set, setup.exp.SliceGapThreshold());
   setup.exp.manager->StartThread(*setup.exp.receiver_domain, &receiver, 120, 0);
   EXPECT_THROW(setup.exp.Clone(), std::logic_error);
 }
@@ -193,7 +351,7 @@ TEST(SetupCloneLimits, TaintModeKernelCannotBeCloned) {
   EXPECT_THROW(exp.Clone(), std::logic_error);
 }
 
-// A stand-in set-up that counts what SetupSlot does with it.
+// A stand-in set-up that counts what a cell slot does with it.
 struct FakeSetup {
   int id = 0;
   bool detached = false;
@@ -206,29 +364,40 @@ struct FakeSetup {
   void DetachTally() { detached = true; }
 };
 
+// The engine's cell slot: one build per cell, a clone for every shard,
+// and once released, every set-up built fresh.
 TEST(SetupSlot, BuildsOncePerKeyAndHandsOutClones) {
   ScopedTaint taint_off(false);
   int builds = 0;
   int clones = 0;
   auto build = [&] { return FakeSetup{++builds, false, &clones}; };
   const SetupTally t0 = SetupTallySnapshot();
-  SetupSlot<FakeSetup> slot;
-  FakeSetup a = slot.Acquire("cell A", build);
-  FakeSetup b = slot.Acquire("cell A", build);
+  runner::CellSetupSlot cell_a;
+  runner::CellSetupSlot cell_b;
+  FakeSetup a;
+  FakeSetup b;
+  {
+    runner::ScopedCellSlot scope(&cell_a);
+    a = runner::CellSetup(SetupSharingAllowed(), build);
+    b = runner::CellSetup(SetupSharingAllowed(), build);
+  }
   EXPECT_EQ(builds, 1);
   EXPECT_EQ(clones, 2);
   EXPECT_EQ(a.id, 1);
   EXPECT_EQ(b.id, 1);
   EXPECT_FALSE(a.detached) << "clones tally normally";
 
-  FakeSetup c = slot.Acquire("cell B", build);
-  EXPECT_EQ(c.id, 2) << "a new key replaces the held set-up";
-  slot.Release();
-  FakeSetup d = slot.Acquire("cell B", build);
-  EXPECT_EQ(d.id, 3) << "a released slot builds again";
+  FakeSetup c = cell_b.Acquire(build);
+  EXPECT_EQ(c.id, 2) << "another cell's slot builds its own";
+  EXPECT_EQ(cell_a.Acquire(build).id, 1) << "and leaves the first one's alone";
+  cell_a.Release();
+  EXPECT_EQ(cell_a.Acquire(build).id, 3) << "a released slot builds fresh";
+  EXPECT_EQ(cell_a.Acquire(build).id, 4) << "and holds nothing";
+  EXPECT_EQ(runner::CellSetup(SetupSharingAllowed(), build).id, 5) << "outside any slot";
   const SetupTally t1 = SetupTallySnapshot();
-  EXPECT_EQ(t1.built - t0.built, 3u);
+  EXPECT_EQ(t1.built - t0.built, 5u);
   EXPECT_EQ(t1.cloned - t0.cloned, 4u);
+  EXPECT_EQ(clones, 4);
 }
 
 TEST(SetupSlot, BypassedUnderTaintAndConfigOverride) {
@@ -236,22 +405,24 @@ TEST(SetupSlot, BypassedUnderTaintAndConfigOverride) {
   int clones = 0;
   auto build = [&] { return FakeSetup{++builds, false, &clones}; };
   ScopedTaint taint_off(false);
-  SetupSlot<FakeSetup> slot;
-  slot.Acquire("cell", build);
+  runner::CellSetupSlot slot;
+  runner::ScopedCellSlot scope(&slot);
+  runner::CellSetup(SetupSharingAllowed(), build);
   ASSERT_TRUE(SetupSharingAllowed());
 
   {
     ScopedTaint taint_on(true);
     EXPECT_FALSE(SetupSharingAllowed());
-    EXPECT_EQ(slot.Acquire("cell", build).id, 2);
+    EXPECT_EQ(runner::CellSetup(SetupSharingAllowed(), build).id, 2);
   }
 
   SetGlobalConfigOverride([](kernel::KernelConfig&) {});
   EXPECT_FALSE(SetupSharingAllowed());
-  EXPECT_EQ(slot.Acquire("cell", build).id, 3);
+  EXPECT_EQ(runner::CellSetup(SetupSharingAllowed(), build).id, 3);
   SetGlobalConfigOverride(nullptr);
 
-  EXPECT_EQ(slot.Acquire("cell", build).id, 1) << "the held set-up survives a bypass";
+  EXPECT_EQ(runner::CellSetup(SetupSharingAllowed(), build).id, 1)
+      << "the held set-up survives a bypass";
   EXPECT_EQ(builds, 3);
   EXPECT_EQ(clones, 2);
 }
@@ -313,32 +484,6 @@ std::vector<std::size_t> LadderSizes() {
   }
   return sizes;
 }
-
-// The process-wide work tallies.
-struct Tallies {
-  hw::SimTally sim;
-  kernel::StepTally steps;
-
-  static Tallies Now() { return {hw::SimTallySnapshot(), kernel::StepTallySnapshot()}; }
-  Tallies operator+(const Tallies& o) const {
-    return {{sim.accesses + o.sim.accesses, sim.branches + o.sim.branches},
-            {steps.step_calls + o.steps.step_calls,
-             steps.fast_forward_steps + o.steps.fast_forward_steps,
-             steps.fast_forward_batches + o.steps.fast_forward_batches}};
-  }
-  Tallies operator-(const Tallies& o) const {
-    return {{sim.accesses - o.sim.accesses, sim.branches - o.sim.branches},
-            {steps.step_calls - o.steps.step_calls,
-             steps.fast_forward_steps - o.steps.fast_forward_steps,
-             steps.fast_forward_batches - o.steps.fast_forward_batches}};
-  }
-  bool operator==(const Tallies& o) const {
-    return sim.accesses == o.sim.accesses && sim.branches == o.sim.branches &&
-           steps.step_calls == o.steps.step_calls &&
-           steps.fast_forward_steps == o.steps.fast_forward_steps &&
-           steps.fast_forward_batches == o.steps.fast_forward_batches;
-  }
-};
 
 // One cell as a fresh build runs it: its result, what it added to the
 // tallies, and its contract tally, set-up to teardown.

@@ -23,9 +23,9 @@ constexpr std::size_t kRounds = 300;
 constexpr std::uint64_t kSeed = 0xC0FFEE;
 
 TEST(KernelChannel, RawSharedKernelLeaksOnX86) {
-  Experiment exp = MakeExperiment(hw::MachineConfig::Haswell(1), core::Scenario::kRaw,
-                                  {.timeslice_ms = 0.25});
-  mi::Observations obs = RunKernelChannel(exp, kRounds, kSeed);
+  ChannelSetup setup = SetUpKernelChannel(MakeExperiment(
+      hw::MachineConfig::Haswell(1), core::Scenario::kRaw, {.timeslice_ms = 0.25}));
+  mi::Observations obs = RunKernelChannel(setup, kRounds, kSeed);
   ASSERT_GE(obs.size(), kRounds / 2);
   mi::LeakageResult r = Analyse(obs);
   EXPECT_TRUE(r.leak) << "M=" << r.MilliBits() << "mb M0=" << r.M0MilliBits() << "mb";
@@ -33,18 +33,18 @@ TEST(KernelChannel, RawSharedKernelLeaksOnX86) {
 }
 
 TEST(KernelChannel, ProtectedClonedKernelClosesOnX86) {
-  Experiment exp = MakeExperiment(hw::MachineConfig::Haswell(1), core::Scenario::kProtected,
-                                  {.timeslice_ms = 0.25});
-  mi::Observations obs = RunKernelChannel(exp, kRounds, kSeed);
+  ChannelSetup setup = SetUpKernelChannel(MakeExperiment(
+      hw::MachineConfig::Haswell(1), core::Scenario::kProtected, {.timeslice_ms = 0.25}));
+  mi::Observations obs = RunKernelChannel(setup, kRounds, kSeed);
   ASSERT_GE(obs.size(), kRounds / 2);
   mi::LeakageResult r = Analyse(obs);
   EXPECT_FALSE(r.leak) << "M=" << r.MilliBits() << "mb M0=" << r.M0MilliBits() << "mb";
 }
 
 TEST(KernelChannel, RawLeaksOnArm) {
-  Experiment exp = MakeExperiment(hw::MachineConfig::Sabre(1), core::Scenario::kRaw,
-                                  {.timeslice_ms = 0.5});
-  mi::Observations obs = RunKernelChannel(exp, kRounds, kSeed);
+  ChannelSetup setup = SetUpKernelChannel(MakeExperiment(
+      hw::MachineConfig::Sabre(1), core::Scenario::kRaw, {.timeslice_ms = 0.5}));
+  mi::Observations obs = RunKernelChannel(setup, kRounds, kSeed);
   mi::LeakageResult r = Analyse(obs);
   EXPECT_TRUE(r.leak) << "M=" << r.MilliBits() << "mb M0=" << r.M0MilliBits() << "mb";
 }

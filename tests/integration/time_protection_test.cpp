@@ -160,16 +160,22 @@ TEST(IbcAblation, WithoutBpFlushTheBtbChannelReopens) {
   std::size_t rounds = 250;
   std::uint64_t seed = test::StableSeed("IbcAblation.BtbChannel");
 
-  mi::Observations with_ibc = attacks::RunIntraCoreChannel(
-      hw::MachineConfig::Haswell(1), core::Scenario::kProtected,
-      attacks::IntraCoreResource::kBtb, rounds, seed);
+  const hw::MachineConfig mc = hw::MachineConfig::Haswell(1);
+  auto run_btb = [&](const attacks::ExperimentOptions& options) {
+    attacks::ChannelSetup setup = attacks::SetUpIntraCoreChannel(
+        attacks::MakeExperiment(mc, core::Scenario::kProtected, options),
+        attacks::IntraCoreResource::kBtb);
+    return attacks::RunIntraCoreChannel(setup, attacks::IntraCoreResource::kBtb, rounds,
+                                        seed);
+  };
+
+  mi::Observations with_ibc = run_btb(attacks::IntraCoreOptions(mc));
   mi::LeakageResult protected_result = test::Analyse(with_ibc);
   EXPECT_FALSE(protected_result.leak);
 
-  mi::Observations without_ibc = attacks::RunIntraCoreChannel(
-      hw::MachineConfig::Haswell(1), core::Scenario::kProtected,
-      attacks::IntraCoreResource::kBtb, rounds, seed,
-      [](kernel::KernelConfig& kc) { kc.has_bp_flush = false; });
+  attacks::ExperimentOptions pre_ibc_options = attacks::IntraCoreOptions(mc);
+  pre_ibc_options.config_hook = [](kernel::KernelConfig& kc) { kc.has_bp_flush = false; };
+  mi::Observations without_ibc = run_btb(pre_ibc_options);
   mi::LeakageResult pre_ibc = test::Analyse(without_ibc);
   EXPECT_TRUE(pre_ibc.leak) << "M=" << pre_ibc.MilliBits()
                             << "mb M0=" << pre_ibc.M0MilliBits() << "mb";

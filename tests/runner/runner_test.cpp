@@ -110,6 +110,15 @@ TEST(RunShardedCellsTest, GroupsResultsPerCellAtAnyThreadCount) {
   }
 }
 
+// One shard of the raw L1-D channel on a fresh set-up.
+mi::Observations RunRawL1d(const hw::MachineConfig& mc, std::size_t rounds,
+                           std::uint64_t seed) {
+  attacks::ChannelSetup setup = attacks::SetUpIntraCoreChannel(
+      attacks::MakeExperiment(mc, core::Scenario::kRaw, attacks::IntraCoreOptions(mc)),
+      attacks::IntraCoreResource::kL1D);
+  return attacks::RunIntraCoreChannel(setup, attacks::IntraCoreResource::kL1D, rounds, seed);
+}
+
 // The headline guarantee: a real sharded channel experiment produces
 // bit-identical per-shard streams, merged observations, and MI with 1, 2,
 // and 8 host threads.
@@ -119,9 +128,7 @@ TEST(RunnerDeterminism, ChannelExperimentIdenticalAcrossThreadCounts) {
   ASSERT_GT(plan.num_shards(), 1u);
 
   auto shard_fn = [&](const Shard& shard) {
-    return attacks::RunIntraCoreChannel(mc, core::Scenario::kRaw,
-                                        attacks::IntraCoreResource::kL1D, shard.rounds,
-                                        shard.seed);
+    return RunRawL1d(mc, shard.rounds, shard.seed);
   };
 
   mi::Observations base = RunSharded(ExperimentRunner(1), plan, shard_fn);
@@ -150,9 +157,7 @@ TEST(RunnerDeterminism, ShardsProduceDistinctStreams) {
   ASSERT_EQ(plan.num_shards(), 2u);
   ExperimentRunner pool(1);
   std::vector<mi::Observations> parts = pool.Map(plan.num_shards(), [&](std::size_t i) {
-    return attacks::RunIntraCoreChannel(mc, core::Scenario::kRaw,
-                                        attacks::IntraCoreResource::kL1D,
-                                        plan.shard_rounds[i], plan.SeedFor(i));
+    return RunRawL1d(mc, plan.shard_rounds[i], plan.SeedFor(i));
   });
   ASSERT_EQ(parts.size(), 2u);
   EXPECT_NE(parts[0].inputs(), parts[1].inputs());

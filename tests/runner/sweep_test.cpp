@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -11,9 +14,11 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "attacks/channel_experiment.hpp"
 #include "attacks/kernel_channel.hpp"
+#include "attacks/setup_cache.hpp"
 #include "faults/fault.hpp"
 #include "mi/leakage_test.hpp"
 #include "trajectory/trajectory.hpp"
@@ -140,8 +145,8 @@ TEST(SweepEngine, GridResultsAreThreadCountInvariant) {
 
 TEST(SweepEngine, ClaimsEachCellsShardsTogetherInShardOrder) {
   // 150 rounds over 8 shards: 19 rounds for shards 0-5, 18 for 6-7. A
-  // cell's shards run back to back, so a per-cell set-up cache
-  // (attacks::SetupSlot) builds each cell once on one thread.
+  // cell's shards run back to back, so few cells hold a set-up in their
+  // slot (CellSetup) at once.
   GridSpec spec;
   spec.root_seed = 0xC1A1;
   spec.rounds = 150;
@@ -165,31 +170,195 @@ TEST(SweepEngine, ClaimsEachCellsShardsTogetherInShardOrder) {
 
 TEST(SweepEngine, RealKernelChannelGridIsThreadCountInvariant) {
   // One tiny real-simulator cell: the acceptance check behind
-  // TP_THREADS=1 vs nproc bit-identical recorded MI.
+  // TP_THREADS=1 vs nproc bit-identical recorded MI. Its shards run on
+  // clones of one set-up from the cell's slot, and match shards that each
+  // build their own.
   GridSpec spec;
   spec.root_seed = 0xF16'3;
   spec.rounds = 48;
   spec.platforms = {"Haswell (x86)"};
   spec.timeslices_ms = {0.25};
   spec.modes = {"raw"};
-  auto shard_fn = [](const GridCell& cell, const Shard& shard) {
-    attacks::Experiment exp =
-        attacks::MakeExperiment(hw::MachineConfig::Haswell(1), core::Scenario::kRaw,
-                                {.timeslice_ms = cell.timeslice_ms,
-                                 .colour_fraction = cell.colour_fraction});
-    return attacks::RunKernelChannel(exp, shard.rounds, shard.seed);
+  auto shard_fn = [](bool share) {
+    return [share](const GridCell& cell, const Shard& shard) {
+      attacks::ChannelSetup setup = CellSetup(share, [&cell] {
+        return attacks::SetUpKernelChannel(
+            attacks::MakeExperiment(hw::MachineConfig::Haswell(1), core::Scenario::kRaw,
+                                    {.timeslice_ms = cell.timeslice_ms,
+                                     .colour_fraction = cell.colour_fraction}));
+      });
+      return attacks::RunKernelChannel(setup, shard.rounds, shard.seed);
+    };
   };
   mi::LeakageOptions lopt;
   lopt.shuffles = 10;
   ExperimentRunner pool1(1);
   ExperimentRunner pool4(4);
-  std::vector<SweepCellResult> a = SweepEngine(pool1).RunChannelGrid(spec, shard_fn, lopt);
-  std::vector<SweepCellResult> b = SweepEngine(pool4).RunChannelGrid(spec, shard_fn, lopt);
+  std::vector<SweepCellResult> a =
+      SweepEngine(pool1).RunChannelGrid(spec, shard_fn(true), lopt);
+  std::vector<SweepCellResult> b =
+      SweepEngine(pool4).RunChannelGrid(spec, shard_fn(true), lopt);
+  std::vector<SweepCellResult> fresh =
+      SweepEngine(pool4).RunChannelGrid(spec, shard_fn(false), lopt);
   ASSERT_EQ(a.size(), 1u);
   ASSERT_EQ(b.size(), 1u);
+  ASSERT_EQ(fresh.size(), 1u);
   EXPECT_EQ(a[0].observations.inputs(), b[0].observations.inputs());
   EXPECT_EQ(a[0].observations.outputs(), b[0].observations.outputs());
   EXPECT_EQ(a[0].leakage.mi_bits, b[0].leakage.mi_bits);
+  EXPECT_EQ(a[0].observations.inputs(), fresh[0].observations.inputs());
+  EXPECT_EQ(a[0].observations.outputs(), fresh[0].observations.outputs());
+}
+
+// A stand-in set-up that counts builds and clones, and whose held copy
+// (the one DetachTally marks) logs its release.
+struct LoggedSetup {
+  std::string cell;
+  std::vector<std::string>* log = nullptr;
+  std::atomic<int>* clones = nullptr;
+  bool held = false;
+
+  LoggedSetup Clone() const {
+    if (clones != nullptr) {
+      ++*clones;
+    }
+    return LoggedSetup{cell, log, clones, false};
+  }
+  void DetachTally() { held = true; }
+  ~LoggedSetup() {
+    if (held && log != nullptr) {
+      log->push_back("release " + cell);
+    }
+  }
+};
+
+// The cells' shard bodies with a shared log (one thread only) of what the
+// slots build and release and which shards run.
+struct SlotLog {
+  std::vector<std::string> events;
+
+  // A shard body that takes its set-up from the cell slot, logs, then
+  // runs `body`.
+  template <typename Body>
+  SweepEngine::CellShardFn Shards(Body body) {
+    return [this, body](const GridCell& cell, const Shard& shard) {
+      LoggedSetup setup = CellSetup(true, [&] {
+        events.push_back("build " + cell.mode);
+        return LoggedSetup{cell.mode, &events};
+      });
+      events.push_back("run " + cell.mode + " " + std::to_string(shard.index));
+      return body(cell, shard);
+    };
+  }
+  // Index of the first event equal to `event` (events.size() if none).
+  std::size_t Find(const std::string& event) const {
+    return static_cast<std::size_t>(std::find(events.begin(), events.end(), event) -
+                                    events.begin());
+  }
+};
+
+TEST(SweepEngine, CellSlotBuildsOncePerCellAtOneAndFourThreads) {
+  GridSpec spec;
+  spec.root_seed = 0x5107;
+  spec.rounds = 128;  // 8 shards per cell
+  spec.platforms = {"p0", "p1", "p2"};
+  spec.modes = {"leaky", "quiet"};
+  mi::LeakageOptions lopt;
+  lopt.shuffles = 4;
+  std::vector<SweepCellResult> reference;
+  for (std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    std::atomic<int> builds{0};
+    std::atomic<int> clones{0};
+    std::atomic<int> wrong_cell{0};
+    auto shard_fn = [&](const GridCell& cell, const Shard& shard) {
+      LoggedSetup setup = CellSetup(true, [&] {
+        ++builds;
+        return LoggedSetup{cell.CoordKey(), nullptr, &clones};
+      });
+      if (setup.cell != cell.CoordKey()) {
+        ++wrong_cell;
+      }
+      return SyntheticShard(cell, shard);
+    };
+    ExperimentRunner pool(threads);
+    const SetupTally t0 = SetupTallySnapshot();
+    std::vector<SweepCellResult> results =
+        SweepEngine(pool).RunChannelGrid(spec, shard_fn, lopt);
+    const SetupTally t1 = SetupTallySnapshot();
+    EXPECT_EQ(builds.load(), 6);
+    EXPECT_EQ(clones.load(), 48);
+    EXPECT_EQ(wrong_cell.load(), 0);
+    EXPECT_EQ(t1.built - t0.built, 6u);
+    EXPECT_EQ(t1.cloned - t0.cloned, 48u);
+    if (reference.empty()) {
+      reference = results;
+      continue;
+    }
+    ASSERT_EQ(results.size(), reference.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      EXPECT_EQ(results[i].observations.outputs(), reference[i].observations.outputs());
+    }
+  }
+}
+
+TEST(SweepEngine, CellSlotIsReleasedAfterTheCellsLastShard) {
+  GridSpec spec;
+  spec.rounds = 32;  // 2 shards per cell
+  spec.platforms = {"p0"};
+  spec.modes = {"a", "b"};
+  SlotLog log;
+  ExperimentRunner pool(1);
+  SweepEngine(pool).RunChannelGrid(spec, log.Shards(SyntheticShard), {.shuffles = 4});
+  EXPECT_EQ(log.events, (std::vector<std::string>{"build a", "run a 0", "run a 1", "release a",
+                                                  "build b", "run b 0", "run b 1",
+                                                  "release b"}));
+}
+
+TEST(SweepEngine, CellSlotIsReleasedWhenACellFails) {
+  GridSpec spec;
+  spec.rounds = 128;  // 8 shards per cell
+  spec.platforms = {"p0"};
+  spec.modes = {"a", "b"};
+  SlotLog log;
+  ExperimentRunner pool(1);
+  std::vector<SweepCellResult> results = SweepEngine(pool).RunChannelGrid(
+      spec, log.Shards([](const GridCell& cell, const Shard& shard) {
+        if (cell.mode == "a" && shard.index == 2) {
+          throw std::runtime_error("shard 2 fails");
+        }
+        return SyntheticShard(cell, shard);
+      }),
+      {.shuffles = 4});
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].status, "failed");
+  EXPECT_TRUE(results[1].ok());
+  EXPECT_EQ(log.Find("run a 3"), log.events.size()) << "the failed cell stops";
+  EXPECT_LT(log.Find("release a"), log.Find("build b"));
+}
+
+TEST(SweepEngine, CellSlotIsReleasedWhenACellTimesOut) {
+  GridSpec spec;
+  spec.rounds = 128;  // 8 shards per cell
+  spec.platforms = {"p0"};
+  spec.modes = {"a", "b"};
+  SlotLog log;
+  ExperimentRunner pool(1);
+  SweepOptions options;
+  options.cell_budget_ns = 5'000'000;  // 5 ms; cell a's first shard sleeps past it
+  std::vector<SweepCellResult> results = SweepEngine(pool).RunChannelGrid(
+      spec, log.Shards([](const GridCell& cell, const Shard& shard) {
+        if (cell.mode == "a") {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+        return SyntheticShard(cell, shard);
+      }),
+      {.shuffles = 4}, options);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].status, "timeout");
+  EXPECT_TRUE(results[1].ok());
+  EXPECT_EQ(log.Find("run a 1"), log.events.size());
+  EXPECT_LT(log.Find("release a"), log.Find("build b"));
 }
 
 TEST(SweepEngine, MapCellsDeliversCellsInGridOrder) {
@@ -333,6 +502,31 @@ TEST(SweepEngine, AdaptiveGridStopsEarlyAndKeepsVerdicts) {
   EXPECT_GT(leaky.mi_ci_low, leaky.leakage.m0_bits);
   EXPECT_FALSE(quiet.leakage.leak);
   EXPECT_LT(quiet.mi_ci_high, 0.001);
+}
+
+TEST(SweepEngine, CellSlotIsReleasedWhenAnAdaptiveCellStopsEarly) {
+  // The quiet cell stops at the first checkpoint (after two shards); the
+  // noise cell, independent noise whose interval never resolves, runs on.
+  GridSpec spec;
+  spec.root_seed = 0x5EED;
+  spec.rounds = 128;  // 8 shards of 16
+  spec.platforms = {"p0"};
+  spec.modes = {"quiet", "noise"};
+  SlotLog log;
+  SweepOptions options;
+  options.adaptive.enabled = true;
+  ExperimentRunner pool(1);
+  std::vector<SweepCellResult> results = SweepEngine(pool).RunChannelGrid(
+      spec, log.Shards([](const GridCell& cell, const Shard& shard) {
+        return cell.mode == "quiet" ? AdaptiveSyntheticShard(cell, shard)
+                                    : SyntheticShard(cell, shard);
+      }),
+      {.shuffles = 20}, options);
+  ASSERT_EQ(results.size(), 2u);
+  ASSERT_TRUE(results[0].stopped_early);
+  ASSERT_FALSE(results[1].stopped_early);
+  EXPECT_EQ(log.Find("run quiet 2"), log.events.size());
+  EXPECT_LT(log.Find("release quiet"), log.Find("run noise 2"));
 }
 
 TEST(SweepEngine, AdaptiveGridIsThreadCountInvariant) {
